@@ -1,13 +1,12 @@
 //! Substrate benchmarks: the building blocks the paper's pipeline rests on —
 //! Voronoi construction (sequential and parallel), Delaunay triangulation,
-//! and the spatial indexes.
+//! and the kd-tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use molq_bench::experiments::{bounds, SEED};
 use molq_datagen::geonames::synthetic_layer;
 use molq_datagen::GeoLayer;
-use molq_geom::Mbr;
-use molq_index::{KdTree, RTree};
+use molq_index::KdTree;
 use molq_voronoi::{Delaunay, OrdinaryVoronoi};
 
 fn bench(c: &mut Criterion) {
@@ -29,14 +28,6 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("kdtree_build", n), &pts, |b, pts| {
             b.iter(|| KdTree::from_points(pts))
-        });
-        let entries: Vec<(Mbr, usize)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (Mbr::of_point(*p).inflate(50.0), i))
-            .collect();
-        g.bench_with_input(BenchmarkId::new("rtree_bulk_load", n), &entries, |b, e| {
-            b.iter(|| RTree::bulk_load(e))
         });
     }
     g.finish();

@@ -85,11 +85,18 @@ fn build_and_solve(
     )?;
     let build_s = t0.elapsed().as_secs_f64();
     let ovrs = movd.len();
+    let arena = MovdArena::from_movd(&movd);
+    drop(movd);
     let t1 = Instant::now();
-    let open = CancelToken::new();
-    let answer = solve_prebuilt_cancellable_with(query, &movd, &open, exec)?;
+    let answer = solve(query, &arena, exec)?;
     let solve_s = t1.elapsed().as_secs_f64();
     Ok((answer, meta, ovrs, build_s, solve_s))
+}
+
+/// One cost-bound solve over a prebuilt arena, deriving its cost lanes.
+fn solve(query: &MolqQuery, arena: &MovdArena, exec: ExecConfig) -> Result<MovdAnswer, MolqError> {
+    let lanes = FwLanes::from_arena(query, arena);
+    solve_arena_cancellable_with(query, arena, &lanes, &CancelToken::never(), exec)
 }
 
 /// Exact cross-check at a feasible scale: the approximate answer's true
@@ -103,8 +110,7 @@ fn exact_check(epsilon: f64, zipf: f64, exec: ExecConfig) -> Result<(f64, f64, f
         &BuildPlan::exact(),
         exec,
     )?;
-    let open = CancelToken::new();
-    let exact = solve_prebuilt_cancellable_with(&query, &exact_movd, &open, exec)?;
+    let exact = solve(&query, &MovdArena::from_movd(&exact_movd), exec)?;
     let (approx, _, _, _, _) = build_and_solve(&query, epsilon, exec)?;
     let realized = mwgd(approx.location, &query);
     let err = realized / exact.cost - 1.0;

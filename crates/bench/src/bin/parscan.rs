@@ -2,9 +2,9 @@
 //!
 //! Times the two scan-layer workloads at 1/2/4/8 threads over the same
 //! dataset — the Overlapper rebuild (`Movd::overlap_all_with`) and the
-//! cost-bound solve (`solve_prebuilt_cancellable_with`) — verifies that
-//! every multi-threaded run is bit-identical to the serial one, and writes
-//! the measurements to a JSON report:
+//! cost-bound solve (`solve_arena_cancellable_with`, lanes included) —
+//! verifies that every multi-threaded run is bit-identical to the serial
+//! one, and writes the measurements to a JSON report:
 //!
 //! ```text
 //! cargo run --release -p molq-bench --bin parscan -- --objects 1600 --out BENCH_PR5.json
@@ -58,19 +58,19 @@ struct TinyMeasurement {
 fn run_tiny() -> Result<(Vec<TinyMeasurement>, bool), MolqError> {
     let query = build_query(TINY_OBJECTS);
     let open = CancelToken::new();
-    let movd = Movd::overlap_all_with(
+    let arena = MovdArena::from_movd(&Movd::overlap_all_with(
         &query.sets,
         query.bounds,
         Boundary::Rrb,
         ExecConfig::serial(),
-    )?;
+    )?);
 
     let mut measurements = Vec::new();
     for threads in THREADS {
         let exec = ExecConfig::new(threads);
         let t0 = Instant::now();
         for _ in 0..TINY_ITERS {
-            solve_prebuilt_cancellable_with(&query, &movd, &open, exec)?;
+            solve(&query, &arena, &open, exec)?;
         }
         let solve_s = t0.elapsed().as_secs_f64();
         eprintln!(
@@ -83,6 +83,17 @@ fn run_tiny() -> Result<(Vec<TinyMeasurement>, bool), MolqError> {
         .iter()
         .all(|m| m.solve_s <= serial * TINY_MARGIN);
     Ok((measurements, ok))
+}
+
+/// One cost-bound solve over a prebuilt arena, deriving its cost lanes.
+fn solve(
+    query: &MolqQuery,
+    arena: &MovdArena,
+    cancel: &CancelToken,
+    exec: ExecConfig,
+) -> Result<MovdAnswer, MolqError> {
+    let lanes = FwLanes::from_arena(query, arena);
+    solve_arena_cancellable_with(query, arena, &lanes, cancel, exec)
 }
 
 fn build_query(objects: usize) -> MolqQuery {
@@ -115,8 +126,9 @@ fn run(objects: usize) -> Result<(String, Vec<Measurement>, usize, bool), MolqEr
         let rebuild_s = t0.elapsed().as_secs_f64();
         ovrs = movd.len();
 
+        let arena = MovdArena::from_movd(&movd);
         let t1 = Instant::now();
-        let answer = solve_prebuilt_cancellable_with(&query, &movd, &open, exec)?;
+        let answer = solve(&query, &arena, &open, exec)?;
         let solve_s = t1.elapsed().as_secs_f64();
 
         let bit_identical = match &baseline {

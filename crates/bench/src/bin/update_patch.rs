@@ -124,7 +124,7 @@ fn run(objects: usize) -> Result<Report, MolqError> {
     // The whole point: the patched diagram equals a fresh rebuild over the
     // updated sets, bit for bit (grid included).
     let fresh = Movd::overlap_all_with(live.sets(), bounds, Boundary::Rrb, exec)?;
-    let byte_identical = movd_bits_eq(live.index().movd(), &fresh)
+    let byte_identical = movd_bits_eq(&live.index().arena().to_movd(), &fresh)
         && *live.index().grid() == LocateGrid::build(&fresh);
 
     let mean_patch_s = measurements.iter().map(|m| m.patch_s).sum::<f64>() / UPDATES as f64;

@@ -1194,7 +1194,7 @@ mod tests {
                 ExecConfig::serial(),
             )
             .unwrap();
-            assert!(movd_bits_eq(live.index().movd(), &fresh));
+            assert!(movd_bits_eq(&live.index().arena().to_movd(), &fresh));
         }
 
         // Compaction folds the journal into a new base at epoch 1 and

@@ -482,31 +482,21 @@ pub struct FwLanes {
 }
 
 impl FwLanes {
-    fn build<'a>(query: &MolqQuery, groups: impl Iterator<Item = &'a [ObjectRef]>) -> Self {
+    /// Lanes for an arena-backed diagram: [`MolqQuery::fw_terms`] of every
+    /// group, in OVR order.
+    pub fn from_arena(query: &MolqQuery, arena: &MovdArena) -> Self {
         let mut lanes = FwLanes {
             group_off: vec![0],
             pts: Vec::new(),
             consts: Vec::new(),
         };
-        for group in groups {
-            let (pts, constant) = query.fw_terms(group);
+        for i in 0..arena.len() {
+            let (pts, constant) = query.fw_terms(arena.group(i));
             lanes.pts.extend_from_slice(&pts);
             lanes.group_off.push(lanes.pts.len() as u32);
             lanes.consts.push(constant);
         }
         lanes
-    }
-
-    /// Lanes for a pointer-based diagram.
-    pub fn from_movd(query: &MolqQuery, movd: &Movd) -> Self {
-        FwLanes::build(query, movd.ovrs.iter().map(|o| o.pois.as_slice()))
-    }
-
-    /// Lanes for an arena-backed diagram — identical values to
-    /// [`FwLanes::from_movd`] on the reconstructed diagram (both funnel
-    /// through [`MolqQuery::fw_terms`] per group).
-    pub fn from_arena(query: &MolqQuery, arena: &MovdArena) -> Self {
-        FwLanes::build(query, (0..arena.len()).map(|i| arena.group(i)))
     }
 
     /// Number of groups.
@@ -528,42 +518,6 @@ impl FwLanes {
             &self.pts[self.group_off[i] as usize..self.group_off[i + 1] as usize],
             self.consts[i],
         )
-    }
-}
-
-/// Read access to a diagram's groups and regions — the shape the solver
-/// kernels need, implemented by both the pointer layout and the arena so
-/// one optimizer serves both paths with identical decisions.
-pub trait GroupSource: Sync {
-    /// Number of OVRs.
-    fn source_len(&self) -> usize;
-    /// Group of OVR `i`.
-    fn source_group(&self, i: usize) -> &[ObjectRef];
-    /// `true` when `p` lies in OVR `i`'s region.
-    fn source_contains(&self, i: usize, p: Point) -> bool;
-}
-
-impl GroupSource for Movd {
-    fn source_len(&self) -> usize {
-        self.ovrs.len()
-    }
-    fn source_group(&self, i: usize) -> &[ObjectRef] {
-        &self.ovrs[i].pois
-    }
-    fn source_contains(&self, i: usize, p: Point) -> bool {
-        self.ovrs[i].region.contains(p)
-    }
-}
-
-impl GroupSource for MovdArena {
-    fn source_len(&self) -> usize {
-        self.len()
-    }
-    fn source_group(&self, i: usize) -> &[ObjectRef] {
-        self.group(i)
-    }
-    fn source_contains(&self, i: usize, p: Point) -> bool {
-        self.contains(i, p)
     }
 }
 
@@ -680,29 +634,24 @@ mod tests {
     }
 
     #[test]
-    fn lanes_agree_between_sources() {
+    fn lanes_hold_the_fw_terms_of_every_group() {
         let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
         let sets = vec![pseudo_set("a", 8, 5), pseudo_set("b", 9, 6)];
         let query = MolqQuery::new(sets.clone(), bounds);
         let movd = Movd::overlap_all(&sets, bounds, Boundary::Rrb).unwrap();
         let arena = MovdArena::from_movd(&movd);
-        let a = FwLanes::from_movd(&query, &movd);
-        let b = FwLanes::from_arena(&query, &arena);
-        assert_eq!(a.len(), b.len());
-        for i in 0..a.len() {
-            let (pa, ca) = a.group(i);
-            let (pb, cb) = b.group(i);
-            assert_eq!(ca.to_bits(), cb.to_bits());
-            assert_eq!(pa.len(), pb.len());
-            for (x, y) in pa.iter().zip(pb) {
+        let lanes = FwLanes::from_arena(&query, &arena);
+        assert_eq!(lanes.len(), movd.len());
+        for (i, ovr) in movd.ovrs.iter().enumerate() {
+            let (pts, c) = lanes.group(i);
+            let (direct, dc) = query.fw_terms(&ovr.pois);
+            assert_eq!(c.to_bits(), dc.to_bits());
+            assert_eq!(pts.len(), direct.len());
+            for (x, y) in pts.iter().zip(&direct) {
                 assert_eq!(x.weight.to_bits(), y.weight.to_bits());
                 assert_eq!(x.loc.x.to_bits(), y.loc.x.to_bits());
                 assert_eq!(x.loc.y.to_bits(), y.loc.y.to_bits());
             }
-            // And both match a direct fw_terms call.
-            let (direct, c) = query.fw_terms(arena.group(i));
-            assert_eq!(c.to_bits(), ca.to_bits());
-            assert_eq!(direct.len(), pa.len());
         }
     }
 

@@ -278,9 +278,11 @@ pub fn build_movd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{FwLanes, MovdArena};
+    use crate::cancel::CancelToken;
     use crate::incr::movd_bits_eq;
     use crate::object::MolqQuery;
-    use crate::solutions::movd_based::solve_prebuilt;
+    use crate::solutions::movd_based::{solve_arena_cancellable_with, MovdAnswer};
     use crate::weights::mwgd;
     use molq_geom::Point;
 
@@ -303,6 +305,13 @@ mod tests {
 
     fn bounds() -> Mbr {
         Mbr::new(0.0, 0.0, 100.0, 100.0)
+    }
+
+    fn solve_built(query: &MolqQuery, movd: &Movd) -> MovdAnswer {
+        let arena = MovdArena::from_movd(movd);
+        let lanes = FwLanes::from_arena(query, &arena);
+        let never = CancelToken::never();
+        solve_arena_cancellable_with(query, &arena, &lanes, &never, ExecConfig::serial()).unwrap()
     }
 
     #[test]
@@ -404,8 +413,8 @@ mod tests {
             ExecConfig::serial(),
         )
         .unwrap();
-        let exact = solve_prebuilt(&query, &exact_movd).unwrap();
-        let approx = solve_prebuilt(&query, &approx_movd).unwrap();
+        let exact = solve_built(&query, &exact_movd);
+        let approx = solve_built(&query, &approx_movd);
         // exact_opt ≤ approx_cost ≤ (1+ε)·exact_opt, with a hair of
         // Fermat–Weber stopping-rule slack.
         let slack = 1.0 + 1e-6;

@@ -158,7 +158,7 @@ impl LiveMovd {
         let index = if canonical {
             index
         } else {
-            let mut movd = index.movd().clone();
+            let mut movd = index.arena().to_movd();
             movd.canonicalize();
             MovdIndex::build(movd)
         };
@@ -193,12 +193,8 @@ impl LiveMovd {
         self.exec
     }
 
-    /// The canonical overlapped diagram.
-    pub fn movd(&self) -> &Movd {
-        self.index.movd()
-    }
-
-    /// The point-location index over the canonical diagram.
+    /// The point-location index over the canonical diagram (which it owns
+    /// in arena form).
     pub fn index(&self) -> &MovdIndex {
         &self.index
     }
@@ -644,12 +640,17 @@ mod tests {
         .unwrap()
     }
 
+    /// The pointer view of `live`'s canonical diagram.
+    fn diagram(live: &LiveMovd) -> Movd {
+        live.index().arena().to_movd()
+    }
+
     fn assert_identical_to_fresh(live: &LiveMovd) {
         let want = fresh(live);
         assert!(
-            movd_bits_eq(live.movd(), &want),
+            movd_bits_eq(&diagram(live), &want),
             "patched MOVD diverged from fresh rebuild ({} vs {} OVRs)",
-            live.movd().len(),
+            live.index().len(),
             want.len()
         );
         let want_grid = LocateGrid::build(&want);
@@ -801,7 +802,7 @@ mod tests {
     fn rejected_updates_leave_state_untouched() {
         let mut live =
             LiveMovd::build(sets(6), bounds(), Boundary::Rrb, ExecConfig::serial()).unwrap();
-        let before = live.movd().clone();
+        let before = diagram(&live);
         let dup = live.sets()[1].objects[2].loc;
         // Duplicate coordinates are rejected by Voronoi construction.
         let err = live
@@ -846,7 +847,7 @@ mod tests {
         ] {
             assert!(matches!(live.apply(&bad), Err(MolqError::InvalidQuery(_))));
         }
-        assert!(movd_bits_eq(live.movd(), &before));
+        assert!(movd_bits_eq(&diagram(&live), &before));
         // Removing down to one object, then the last removal is rejected.
         let mut tiny = LiveMovd::build(
             vec![ObjectSet::uniform(
@@ -874,7 +875,7 @@ mod tests {
             ExecConfig::serial(),
         )
         .unwrap();
-        assert!(movd_bits_eq(live.movd(), built.movd()));
+        assert!(movd_bits_eq(&diagram(&live), &diagram(&built)));
         live.apply(&Update::Remove { set: 1, index: 4 }).unwrap();
         assert_identical_to_fresh(&live);
     }
@@ -899,7 +900,7 @@ mod tests {
         )
         .unwrap();
         let want = Movd::overlap_all_with(&s, b, Boundary::Rrb, ExecConfig::serial()).unwrap();
-        assert!(movd_bits_eq(live.movd(), &want));
+        assert!(movd_bits_eq(&diagram(&live), &want));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod weights;
 
 /// Convenient re-exports of the public API.
 pub mod prelude {
-    pub use crate::arena::{ArenaBufferBytes, FwLanes, GroupSource, MovdArena, PatchEntry};
+    pub use crate::arena::{ArenaBufferBytes, FwLanes, MovdArena, PatchEntry};
     pub use crate::build::{build_movd, BuildMeta, BuildMode, BuildPlan};
     pub use crate::cancel::CancelToken;
     pub use crate::error::MolqError;
@@ -65,17 +65,14 @@ pub mod prelude {
     pub use crate::object::{MolqQuery, ObjectRef, ObjectSet, SpatialObject};
     pub use crate::region::{Boundary, Region};
     pub use crate::solutions::movd_based::{
-        solve_arena_cancellable_with, solve_mbrb, solve_movd, solve_movd_with, solve_prebuilt,
-        solve_prebuilt_cancellable, solve_prebuilt_cancellable_with, solve_rrb, solve_weighted_rrb,
-        solve_weighted_rrb_cancellable, solve_weighted_rrb_with, MovdAnswer,
+        solve_arena_cancellable_with, solve_mbrb, solve_movd, solve_movd_with, solve_rrb,
+        solve_weighted_rrb, solve_weighted_rrb_cancellable, solve_weighted_rrb_with, MovdAnswer,
     };
     pub use crate::solutions::pruned::{solve_pruned, PrunedAnswer};
     pub use crate::solutions::ssc::{solve_ssc, solve_ssc_with};
     pub use crate::solutions::tiled::{solve_tiled, TiledAnswer};
     pub use crate::solutions::topk::{
-        solve_topk, solve_topk_arena_cancellable_with, solve_topk_prebuilt,
-        solve_topk_prebuilt_cancellable, solve_topk_prebuilt_cancellable_with, solve_topk_with,
-        Candidate, TopKAnswer,
+        solve_topk, solve_topk_arena_cancellable_with, solve_topk_with, Candidate, TopKAnswer,
     };
     pub use crate::weights::{mwgd, wd, wgd, WeightFunction};
 }

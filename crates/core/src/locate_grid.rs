@@ -15,6 +15,12 @@ use molq_geom::{Mbr, Point};
 /// Largest number of cells along one axis (bounds memory on huge diagrams).
 const MAX_SIDE: u32 = 1024;
 
+/// Most candidate ids the grid stores per OVR, on average. When OVRs are
+/// much larger than a cell (e.g. the rectangles of a skewed exact build),
+/// each is listed in very many cells; the build halves the side until the
+/// total fits, so memory stays linear in the OVR count.
+const MAX_IDS_PER_OVR: u64 = 32;
+
 /// A uniform cell → candidate-OVR-ids index in CSR layout.
 ///
 /// Invariants (enforced by [`LocateGrid::from_raw`]):
@@ -46,9 +52,10 @@ impl LocateGrid {
     }
 
     fn build_impl(declared: Mbr, n: usize, mbr_of: impl Fn(usize) -> Mbr) -> Self {
+        let mbrs: Vec<Mbr> = (0..n).map(mbr_of).collect();
         let mut bounds = declared;
         if bounds.is_empty() {
-            bounds = (0..n).fold(Mbr::EMPTY, |acc, i| acc.union(&mbr_of(i)));
+            bounds = mbrs.iter().fold(Mbr::EMPTY, |acc, m| acc.union(m));
         }
         if bounds.is_empty() || n == 0 {
             return LocateGrid {
@@ -59,37 +66,32 @@ impl LocateGrid {
                 ids: Vec::new(),
             };
         }
-        let side = ((2 * n) as f64).sqrt().ceil() as u32;
-        let cols = if bounds.width() > 0.0 {
-            side.clamp(1, MAX_SIDE)
-        } else {
-            1
-        };
-        let rows = if bounds.height() > 0.0 {
-            side.clamp(1, MAX_SIDE)
-        } else {
-            1
+        // Count memberships in u64 before allocating; halve the side while
+        // they exceed the budget (a 1×1 grid lists each OVR once).
+        let mut side = base_side(n);
+        let (cols, rows) = loop {
+            let (cols, rows) = dims(&bounds, side);
+            let total: u64 = mbrs
+                .iter()
+                .filter_map(|m| span(&bounds, cols, rows, m))
+                .map(|(cx0, cy0, cx1, cy1)| ((cx1 - cx0 + 1) * (cy1 - cy0 + 1)) as u64)
+                .sum();
+            if total <= id_budget(n) || side == 1 {
+                break (cols, rows);
+            }
+            side /= 2;
         };
         let cells = (cols * rows) as usize;
 
-        // Cell ranges per OVR, then a counting sort into CSR so every cell's
-        // id list comes out ascending (OVRs are visited in id order).
-        let ranges: Vec<Option<(usize, usize, usize, usize)>> = (0..n)
-            .map(|i| {
-                let m = mbr_of(i);
-                if m.is_empty() {
-                    return None;
-                }
-                let (cx0, cy0) = cell_of(&bounds, cols, rows, Point::new(m.min_x, m.min_y));
-                let (cx1, cy1) = cell_of(&bounds, cols, rows, Point::new(m.max_x, m.max_y));
-                Some((cx0, cy0, cx1, cy1))
-            })
-            .collect();
+        // Counting sort into CSR so every cell's id list comes out ascending
+        // (OVRs are visited in id order).
         let mut counts = vec![0u32; cells];
-        for r in ranges.iter().flatten() {
-            for cy in r.1..=r.3 {
-                for cx in r.0..=r.2 {
-                    counts[cy * cols as usize + cx] += 1;
+        for m in &mbrs {
+            if let Some((cx0, cy0, cx1, cy1)) = span(&bounds, cols, rows, m) {
+                for cy in cy0..=cy1 {
+                    for cx in cx0..=cx1 {
+                        counts[cy * cols as usize + cx] += 1;
+                    }
                 }
             }
         }
@@ -102,10 +104,12 @@ impl LocateGrid {
         }
         let mut cursors: Vec<u32> = offsets[..cells].to_vec();
         let mut ids = vec![0u32; acc as usize];
-        for (id, r) in ranges.iter().enumerate() {
-            let Some(r) = r else { continue };
-            for cy in r.1..=r.3 {
-                for cx in r.0..=r.2 {
+        for (id, m) in mbrs.iter().enumerate() {
+            let Some((cx0, cy0, cx1, cy1)) = span(&bounds, cols, rows, m) else {
+                continue;
+            };
+            for cy in cy0..=cy1 {
+                for cx in cx0..=cx1 {
                     let cell = cy * cols as usize + cx;
                     ids[cursors[cell] as usize] = id as u32;
                     cursors[cell] += 1;
@@ -121,47 +125,25 @@ impl LocateGrid {
         }
     }
 
-    /// Patches the grid in place for an updated diagram, producing arrays
-    /// **identical to [`LocateGrid::build`]`(movd)`** without re-deriving
-    /// cell ranges for surviving OVRs: per cell, surviving ids are remapped
-    /// through `old_to_new` (strictly increasing over the survivors, so
-    /// lists stay ascending) and merged with the freshly-computed ranges of
-    /// the `inserted` ids (ascending new ids).
+    /// Patches the grid in place for an updated arena, producing arrays
+    /// **identical to [`LocateGrid::build_arena`]`(arena)`** without
+    /// re-deriving cell ranges for surviving OVRs: per cell, surviving ids
+    /// are remapped through `old_to_new` (strictly increasing over the
+    /// survivors, so lists stay ascending) and merged with the
+    /// freshly-computed ranges of the `inserted` ids (ascending new ids).
     ///
     /// Returns `None` when the patch cannot reproduce the built grid — the
-    /// grid resolution changed with the OVR count, or the extent moved —
-    /// and the caller must fall back to a full build.
-    pub fn patched(
-        &self,
-        movd: &Movd,
-        old_to_new: &[Option<u32>],
-        inserted: &[u32],
-    ) -> Option<LocateGrid> {
-        self.patched_impl(movd.bounds, movd.ovrs.len(), old_to_new, inserted, |i| {
-            movd.ovrs[i].region.mbr()
-        })
-    }
-
-    /// [`LocateGrid::patched`] over the arena layout.
+    /// extent moved, the resolution changed with the OVR count, or the build
+    /// would coarsen the grid to stay within its id budget — and the caller
+    /// must fall back to a full build.
     pub fn patched_arena(
         &self,
         arena: &MovdArena,
         old_to_new: &[Option<u32>],
         inserted: &[u32],
     ) -> Option<LocateGrid> {
-        self.patched_impl(arena.bounds(), arena.len(), old_to_new, inserted, |i| {
-            arena.ovr_mbr(i)
-        })
-    }
-
-    fn patched_impl(
-        &self,
-        bounds: Mbr,
-        n: usize,
-        old_to_new: &[Option<u32>],
-        inserted: &[u32],
-        mbr_of: impl Fn(usize) -> Mbr,
-    ) -> Option<LocateGrid> {
+        let bounds = arena.bounds();
+        let n = arena.len();
         let bits = |m: &Mbr| {
             [
                 m.min_x.to_bits(),
@@ -176,29 +158,26 @@ impl LocateGrid {
         if bits(&bounds) != bits(&self.bounds) {
             return None;
         }
-        let side = ((2 * n) as f64).sqrt().ceil() as u32;
-        let cols = if bounds.width() > 0.0 {
-            side.clamp(1, MAX_SIDE)
-        } else {
-            1
-        };
-        let rows = if bounds.height() > 0.0 {
-            side.clamp(1, MAX_SIDE)
-        } else {
-            1
-        };
+        let (cols, rows) = dims(&bounds, base_side(n));
         if cols != self.cols || rows != self.rows {
             return None;
         }
         let cells = (cols * rows) as usize;
+        let spans: Vec<_> = inserted
+            .iter()
+            .filter_map(|&id| {
+                span(&bounds, cols, rows, &arena.ovr_mbr(id as usize)).map(|r| (id, r))
+            })
+            .collect();
+        let fresh_total: u64 = spans
+            .iter()
+            .map(|(_, (cx0, cy0, cx1, cy1))| ((cx1 - cx0 + 1) * (cy1 - cy0 + 1)) as u64)
+            .sum();
+        if fresh_total > id_budget(n) {
+            return None;
+        }
         let mut extra: Vec<Vec<u32>> = vec![Vec::new(); cells];
-        for &id in inserted {
-            let m = mbr_of(id as usize);
-            if m.is_empty() {
-                continue;
-            }
-            let (cx0, cy0) = cell_of(&bounds, cols, rows, Point::new(m.min_x, m.min_y));
-            let (cx1, cy1) = cell_of(&bounds, cols, rows, Point::new(m.max_x, m.max_y));
+        for &(id, (cx0, cy0, cx1, cy1)) in &spans {
             for cy in cy0..=cy1 {
                 for cx in cx0..=cx1 {
                     extra[cy * cols as usize + cx].push(id);
@@ -237,6 +216,11 @@ impl LocateGrid {
                 }
             }
             offsets.push(ids.len() as u32);
+        }
+        // A total over budget means the build coarsens (and the u32 offsets
+        // above may have wrapped): decline.
+        if ids.len() as u64 > id_budget(n) {
+            return None;
         }
         Some(LocateGrid {
             bounds,
@@ -328,6 +312,34 @@ impl LocateGrid {
     pub fn ids(&self) -> &[u32] {
         &self.ids
     }
+}
+
+/// The uncoarsened cells per axis for `n` OVRs: roughly two cells per OVR.
+fn base_side(n: usize) -> u32 {
+    (((2 * n) as f64).sqrt().ceil() as u32).clamp(1, MAX_SIDE)
+}
+
+/// Columns and rows for `side` cells per axis; a degenerate axis gets one.
+fn dims(bounds: &Mbr, side: u32) -> (u32, u32) {
+    let cols = if bounds.width() > 0.0 { side } else { 1 };
+    let rows = if bounds.height() > 0.0 { side } else { 1 };
+    (cols, rows)
+}
+
+/// The id budget for `n` OVRs (offsets are `u32`, so never above that).
+fn id_budget(n: usize) -> u64 {
+    (MAX_IDS_PER_OVR * n as u64).min(u32::MAX as u64)
+}
+
+/// The inclusive cell range `(cx0, cy0, cx1, cy1)` an MBR overlaps, or
+/// `None` for an empty MBR.
+fn span(bounds: &Mbr, cols: u32, rows: u32, m: &Mbr) -> Option<(usize, usize, usize, usize)> {
+    if m.is_empty() {
+        return None;
+    }
+    let (cx0, cy0) = cell_of(bounds, cols, rows, Point::new(m.min_x, m.min_y));
+    let (cx1, cy1) = cell_of(bounds, cols, rows, Point::new(m.max_x, m.max_y));
+    Some((cx0, cy0, cx1, cy1))
 }
 
 /// The cell containing `p`, clamped into the grid (points outside the bounds
@@ -466,8 +478,11 @@ mod tests {
                 None => inserted.push(new_id as u32),
             }
         }
-        let patched = old_grid.patched(&new, &old_to_new, &inserted).unwrap();
-        assert_eq!(patched, LocateGrid::build(&new));
+        let new = MovdArena::from_movd(&new);
+        let patched = old_grid
+            .patched_arena(&new, &old_to_new, &inserted)
+            .unwrap();
+        assert_eq!(patched, LocateGrid::build_arena(&new));
     }
 
     #[test]
@@ -482,10 +497,42 @@ mod tests {
         let many: Vec<Mbr> = (0..16)
             .map(|i| Mbr::new(0.0, i as f64 * 0.5, 10.0, i as f64 * 0.5 + 1.0))
             .collect();
-        let new = rect_movd(bounds, &many);
+        let new = MovdArena::from_movd(&rect_movd(bounds, &many));
         let old_to_new: Vec<Option<u32>> = (0..4).map(|i| Some(i as u32)).collect();
         let inserted: Vec<u32> = (4..16).collect();
-        assert!(grid.patched(&new, &old_to_new, &inserted).is_none());
+        assert!(grid.patched_arena(&new, &old_to_new, &inserted).is_none());
+    }
+
+    #[test]
+    fn large_overlapping_regions_coarsen_instead_of_overflowing() {
+        // Every OVR spans the whole domain: at the base side each would be
+        // listed in every cell (n · 2n ids). The build must halve the side
+        // until the ids fit the per-OVR budget.
+        let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
+        let n = 3000;
+        let rects: Vec<Mbr> = (0..n)
+            .map(|i| {
+                let d = (i % 7) as f64 * 0.1;
+                Mbr::new(d, d, 100.0 - d, 100.0 - d)
+            })
+            .collect();
+        let arena = MovdArena::from_movd(&rect_movd(bounds, &rects));
+        let grid = LocateGrid::build_arena(&arena);
+        assert!(grid.ids().len() as u64 <= MAX_IDS_PER_OVR * n as u64);
+        assert!(grid.cols() < base_side(n), "grid was not coarsened");
+        for gi in 0..50 {
+            let p = Point::new(gi as f64 * 2.0 + 0.3, (gi * 37 % 100) as f64 + 0.4);
+            let cand = grid.candidates(p);
+            assert!(cand.windows(2).all(|w| w[0] < w[1]), "unsorted {cand:?}");
+            for (id, m) in rects.iter().enumerate() {
+                if m.contains(p) {
+                    assert!(cand.contains(&(id as u32)), "{p} misses rect {id}");
+                }
+            }
+        }
+        // A coarsened grid never patches: the rebuild decides the side.
+        let same: Vec<Option<u32>> = (0..n as u32).map(Some).collect();
+        assert!(grid.patched_arena(&arena, &same, &[]).is_none());
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Point location over a built MOVD: "which objects serve this location?"
 //!
 //! Once the MOVD Overlapper has run, the diagram is a reusable data product:
-//! any location can be mapped to the OVR containing it, whose `pois` are the
-//! weighted-nearest object of every type (Property 5). The index owns the
+//! any location can be mapped to the OVR containing it, whose group holds
+//! the weighted-nearest object of every type (Property 5). The index owns the
 //! diagram in its flat [`MovdArena`] form — the same buffers the snapshot
 //! store persists verbatim and the group scan streams over — plus a
 //! [`LocateGrid`] over the OVR MBRs that answers probes in near-constant
-//! time. The pointer-based [`Movd`] view is materialized lazily (and at most
-//! once) for callers that still want owned `Ovr` structures.
-
-use std::sync::OnceLock;
+//! time. It keeps no pointer-based [`Movd`]; [`MovdArena::to_movd`] rebuilds
+//! one for callers (mostly tests) that want owned `Ovr` structures.
 
 use crate::arena::{MovdArena, KIND_RECT};
 use crate::locate_grid::LocateGrid;
-use crate::movd::{Movd, Ovr};
+use crate::movd::Movd;
 use molq_geom::{Mbr, Point};
 
 /// A point-location index over a built MOVD.
@@ -21,48 +19,21 @@ use molq_geom::{Mbr, Point};
 pub struct MovdIndex {
     arena: MovdArena,
     grid: LocateGrid,
-    /// Lazily materialized pointer-based view, seeded eagerly on the build
-    /// paths (where the caller hands us an owned [`Movd`] anyway) and filled
-    /// on first use after a snapshot restore.
-    movd: OnceLock<Movd>,
 }
 
 impl MovdIndex {
-    /// Builds the index (a uniform candidate grid over the OVR MBRs).
+    /// Builds the index (a uniform candidate grid over the OVR MBRs),
+    /// lowering the diagram into its arena and dropping it.
     pub fn build(movd: Movd) -> Self {
-        let grid = LocateGrid::build(&movd);
         let arena = MovdArena::from_movd(&movd);
-        let cache = OnceLock::new();
-        let _ = cache.set(movd);
-        MovdIndex {
-            arena,
-            grid,
-            movd: cache,
-        }
-    }
-
-    /// Reassembles an index from a diagram and a previously-built grid;
-    /// fails when the grid references OVR ids the diagram does not have.
-    pub fn from_parts(movd: Movd, grid: LocateGrid) -> Result<Self, String> {
-        if let Some(&bad) = grid.ids().iter().find(|&&id| id as usize >= movd.len()) {
-            return Err(format!(
-                "grid references OVR {bad} but the diagram has {}",
-                movd.len()
-            ));
-        }
-        let arena = MovdArena::from_movd(&movd);
-        let cache = OnceLock::new();
-        let _ = cache.set(movd);
-        Ok(MovdIndex {
-            arena,
-            grid,
-            movd: cache,
-        })
+        drop(movd);
+        let grid = LocateGrid::build_arena(&arena);
+        MovdIndex { arena, grid }
     }
 
     /// Reassembles an index straight from arena buffers (the snapshot-load
-    /// and live-patch paths — no pointer structures are built); fails when
-    /// the grid references OVR ids the arena does not have.
+    /// and live-patch paths); fails when the grid references OVR ids the
+    /// arena does not have.
     pub fn from_arena(arena: MovdArena, grid: LocateGrid) -> Result<Self, String> {
         if let Some(&bad) = grid.ids().iter().find(|&&id| id as usize >= arena.len()) {
             return Err(format!(
@@ -70,25 +41,7 @@ impl MovdIndex {
                 arena.len()
             ));
         }
-        Ok(MovdIndex {
-            arena,
-            grid,
-            movd: OnceLock::new(),
-        })
-    }
-
-    /// Decomposes the index into its diagram and grid.
-    pub fn into_parts(self) -> (Movd, LocateGrid) {
-        let movd = match self.movd.into_inner() {
-            Some(m) => m,
-            None => self.arena.to_movd(),
-        };
-        (movd, self.grid)
-    }
-
-    /// The underlying MOVD (materialized from the arena on first use).
-    pub fn movd(&self) -> &Movd {
-        self.movd.get_or_init(|| self.arena.to_movd())
+        Ok(MovdIndex { arena, grid })
     }
 
     /// The flat diagram buffers (single source of truth).
@@ -121,23 +74,18 @@ impl MovdIndex {
         self.arena.group(id)
     }
 
-    /// The OVR containing `l`, if any.
+    /// Id of the OVR containing `l`, if any; its objects are
+    /// [`group`](Self::group)`(id)`.
     ///
     /// For exact (RRB) MOVDs this succeeds for every location in the search
-    /// space (Property 3) and the returned `pois` are the weighted-nearest
-    /// objects per type. For MBRB MOVDs the candidate rectangles are false
+    /// space (Property 3) and the group holds the weighted-nearest objects
+    /// per type. For MBRB MOVDs the candidate rectangles are false
     /// positives supersets; exact region hits are preferred over bare
     /// rectangle hits, and ties within either class are broken
     /// deterministically towards the lowest OVR id. Callers who need the
     /// true serving group under MBRB should disambiguate the full
-    /// [`locate_candidates`](Self::locate_candidates) list by evaluating
-    /// actual group cost.
-    pub fn locate(&self, l: Point) -> Option<&Ovr> {
-        self.locate_id(l).map(|id| &self.movd().ovrs[id])
-    }
-
-    /// Like [`locate`](Self::locate), but returns the OVR's index into
-    /// [`Movd::ovrs`].
+    /// [`locate_candidate_ids`](Self::locate_candidate_ids) list by
+    /// evaluating actual group cost.
     pub fn locate_id(&self, l: Point) -> Option<usize> {
         // Grid cells list candidates in ascending id order, so the first
         // exact-region hit is the lowest-id exact hit; rectangle hits only
@@ -161,21 +109,13 @@ impl MovdIndex {
         rect_hit
     }
 
-    /// Every OVR whose region contains `l`, in ascending OVR-id order.
+    /// Ids of every OVR whose region contains `l`, ascending.
     ///
     /// For exact MOVDs the list has at most one entry away from region
     /// boundaries. For MBRB MOVDs overlapping false-positive rectangles make
     /// multiple candidates common; callers disambiguate by evaluating the
     /// actual group cost of each candidate (as the server's `locate`
     /// endpoint does).
-    pub fn locate_candidates(&self, l: Point) -> Vec<&Ovr> {
-        let ids = self.locate_candidate_ids(l);
-        let movd = self.movd();
-        ids.into_iter().map(|id| &movd.ovrs[id]).collect()
-    }
-
-    /// Indices (into [`Movd::ovrs`]) of every OVR whose region contains `l`,
-    /// ascending.
     pub fn locate_candidate_ids(&self, l: Point) -> Vec<usize> {
         self.grid
             .candidates(l)
@@ -189,12 +129,10 @@ impl MovdIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::movd::Movd;
     use crate::object::ObjectSet;
     use crate::region::Boundary;
     use crate::weights::{mwgd, wgd};
     use crate::MolqQuery;
-    use molq_geom::Mbr;
 
     fn pseudo_set(name: &str, n: usize, seed: u64) -> ObjectSet {
         let mut s = seed;
@@ -225,9 +163,9 @@ mod tests {
                 (gi as f64 * 7.3 + 0.2) % 100.0,
                 (gi as f64 * 13.1 + 0.7) % 100.0,
             );
-            let ovr = index.locate(l).expect("RRB MOVD covers the space");
+            let id = index.locate_id(l).expect("RRB MOVD covers the space");
             // Property 5: the OVR's group realises MWGD at l.
-            let via_group = wgd(l, &query, &ovr.pois);
+            let via_group = wgd(l, &query, index.group(id));
             let direct = mwgd(l, &query);
             assert!(
                 (via_group - direct).abs() < 1e-9 * direct.max(1.0),
@@ -242,7 +180,7 @@ mod tests {
         let sets = vec![pseudo_set("a", 5, 3)];
         let movd = Movd::overlap_all(&sets, bounds, Boundary::Rrb).unwrap();
         let index = MovdIndex::build(movd);
-        assert!(index.locate(Point::new(500.0, 500.0)).is_none());
+        assert!(index.locate_id(Point::new(500.0, 500.0)).is_none());
     }
 
     #[test]
@@ -250,7 +188,7 @@ mod tests {
         let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
         let sets = vec![pseudo_set("a", 12, 6), pseudo_set("b", 12, 7)];
         let movd = Movd::overlap_all(&sets, bounds, Boundary::Mbrb).unwrap();
-        let index = MovdIndex::build(movd);
+        let index = MovdIndex::build(movd.clone());
         for gi in 0..40 {
             let l = Point::new(
                 (gi as f64 * 11.7 + 0.3) % 100.0,
@@ -258,32 +196,14 @@ mod tests {
             );
             let ids = index.locate_candidate_ids(l);
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "unsorted ids {ids:?}");
-            // Every candidate really contains the probe, and the chosen OVR
-            // is the lowest-id candidate (all regions are rectangles here).
-            for &id in &ids {
-                assert!(index.movd().ovrs[id].region.contains(l));
-            }
-            let chosen = index.locate_id(l);
-            assert_eq!(chosen, ids.first().copied());
-            // locate() agrees with locate_id().
-            let by_ref = index.locate(l).map(|o| o as *const Ovr);
-            let by_id = chosen.map(|id| &index.movd().ovrs[id] as *const Ovr);
-            assert_eq!(by_ref, by_id);
-        }
-    }
-
-    #[test]
-    fn locate_candidates_matches_ids() {
-        let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
-        let sets = vec![pseudo_set("a", 10, 8), pseudo_set("b", 10, 9)];
-        let movd = Movd::overlap_all(&sets, bounds, Boundary::Mbrb).unwrap();
-        let index = MovdIndex::build(movd);
-        let l = Point::new(42.0, 58.0);
-        let by_ref = index.locate_candidates(l);
-        let ids = index.locate_candidate_ids(l);
-        assert_eq!(by_ref.len(), ids.len());
-        for (o, id) in by_ref.iter().zip(&ids) {
-            assert_eq!(*o as *const Ovr, &index.movd().ovrs[*id] as *const Ovr);
+            // The candidates are exactly the OVRs whose region contains the
+            // probe, and the chosen OVR is the lowest-id candidate (all
+            // regions are rectangles here).
+            let brute: Vec<usize> = (0..movd.len())
+                .filter(|&id| movd.ovrs[id].region.contains(l))
+                .collect();
+            assert_eq!(ids, brute);
+            assert_eq!(index.locate_id(l), ids.first().copied());
         }
     }
 
@@ -297,38 +217,12 @@ mod tests {
         // superset form).
         for gi in 0..10 {
             let l = Point::new(gi as f64 * 9.9 + 0.5, gi as f64 * 3.3 + 0.5);
-            assert!(index.locate(l).is_some(), "no candidate at {l}");
+            assert!(index.locate_id(l).is_some(), "no candidate at {l}");
         }
     }
 
     #[test]
-    fn from_parts_roundtrips_and_validates() {
-        let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
-        let sets = vec![pseudo_set("a", 8, 10), pseudo_set("b", 8, 11)];
-        let movd = Movd::overlap_all(&sets, bounds, Boundary::Rrb).unwrap();
-        let built = MovdIndex::build(movd.clone());
-        let reassembled = MovdIndex::from_parts(movd.clone(), built.grid().clone()).unwrap();
-        for gi in 0..25 {
-            let l = Point::new(
-                (gi as f64 * 6.1 + 0.4) % 100.0,
-                (gi as f64 * 9.7 + 0.8) % 100.0,
-            );
-            assert_eq!(built.locate_id(l), reassembled.locate_id(l));
-            assert_eq!(
-                built.locate_candidate_ids(l),
-                reassembled.locate_candidate_ids(l)
-            );
-        }
-        // A grid over a larger diagram must be rejected for a smaller one.
-        let truncated = Movd {
-            bounds,
-            ovrs: movd.ovrs[..1].to_vec(),
-        };
-        assert!(MovdIndex::from_parts(truncated, built.grid().clone()).is_err());
-    }
-
-    #[test]
-    fn from_arena_restores_without_pointer_structures() {
+    fn from_arena_roundtrips_and_validates() {
         let bounds = Mbr::new(0.0, 0.0, 100.0, 100.0);
         let sets = vec![pseudo_set("a", 9, 12), pseudo_set("b", 9, 13)];
         let movd = Movd::overlap_all(&sets, bounds, Boundary::Rrb).unwrap();
@@ -340,9 +234,16 @@ mod tests {
                 (gi as f64 * 8.9 + 0.6) % 100.0,
             );
             assert_eq!(built.locate_id(l), restored.locate_id(l));
+            assert_eq!(
+                built.locate_candidate_ids(l),
+                restored.locate_candidate_ids(l)
+            );
         }
-        // The lazy pointer view materializes bit-identically.
-        assert!(crate::incr::movd_bits_eq(restored.movd(), &movd));
+        // The arena reconstructs the built diagram bit-identically.
+        assert!(crate::incr::movd_bits_eq(
+            &restored.arena().to_movd(),
+            &movd
+        ));
         // A grid over a larger diagram is rejected for a truncated arena.
         let truncated = MovdArena::from_movd(&Movd {
             bounds,

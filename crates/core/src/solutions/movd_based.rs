@@ -6,7 +6,6 @@ use crate::arena::{FwLanes, MovdArena};
 use crate::cancel::CancelToken;
 use crate::error::MolqError;
 use crate::exec::{ExecConfig, GroupScan, SharedBound};
-use crate::footprint::Footprint;
 use crate::movd::Movd;
 use crate::object::MolqQuery;
 use crate::region::Boundary;
@@ -77,39 +76,6 @@ pub fn solve_mbrb(query: &MolqQuery) -> Result<MovdAnswer, MolqError> {
     solve_movd(query, Boundary::Mbrb)
 }
 
-/// Runs the cost-bound Optimizer (Algorithm 5) over an already-built MOVD.
-///
-/// This is the serving-path entry point: a long-lived system builds the
-/// MOVD once (the expensive part) and answers every subsequent optimal-
-/// location query from the prebuilt diagram. The `movd` must have been built
-/// from `query`'s object sets.
-pub fn solve_prebuilt(query: &MolqQuery, movd: &Movd) -> Result<MovdAnswer, MolqError> {
-    solve_prebuilt_cancellable(query, movd, &CancelToken::never())
-}
-
-/// [`solve_prebuilt`] with cooperative cancellation: the Optimizer checks
-/// `cancel` once per OVR group and returns [`MolqError::Cancelled`] (with
-/// progress counters) when the token has fired — so a serving deadline
-/// actually stops the work instead of letting it run to completion.
-pub fn solve_prebuilt_cancellable(
-    query: &MolqQuery,
-    movd: &Movd,
-    cancel: &CancelToken,
-) -> Result<MovdAnswer, MolqError> {
-    solve_prebuilt_cancellable_with(query, movd, cancel, ExecConfig::default())
-}
-
-/// [`solve_prebuilt_cancellable`] with an explicit execution configuration.
-pub fn solve_prebuilt_cancellable_with(
-    query: &MolqQuery,
-    movd: &Movd,
-    cancel: &CancelToken,
-    exec: ExecConfig,
-) -> Result<MovdAnswer, MolqError> {
-    query.validate()?;
-    optimize(query, movd, cancel, exec)
-}
-
 /// The general RRB solution for queries with *non-uniform object weights*:
 /// weighted dominance regions are approximated by dilated raster contours
 /// (supersets of the true regions, so the answer stays exact) and
@@ -155,15 +121,18 @@ pub fn solve_weighted_rrb_with(
     optimize(query, &movd, cancel, exec)
 }
 
-/// Runs the Optimizer over an arena-backed diagram with prebuilt cost lanes
-/// (the serving path: the server pins one [`FwLanes`] per snapshot, so
-/// every solve streams contiguous weighted-point runs instead of
-/// re-deriving Fermat–Weber terms per group).
+/// Runs the cost-bound Optimizer (Algorithm 5) over an already-built,
+/// arena-backed MOVD with prebuilt cost lanes.
 ///
-/// Answers are bit-identical to
-/// [`solve_prebuilt_cancellable_with`] on the equivalent pointer-based
-/// diagram: the lanes hold exactly the values [`MolqQuery::fw_terms`]
-/// produces, and the scan/merge machinery is shared.
+/// This is the serving-path entry point: a long-lived system builds the
+/// MOVD once (the expensive part), pins one [`FwLanes`] per snapshot, and
+/// answers every later query by streaming contiguous weighted-point runs.
+/// The arena must have been built from `query`'s object sets. The scan
+/// checks `cancel` once per OVR group and returns
+/// [`MolqError::Cancelled`] (with progress counters) when it has fired.
+///
+/// Answers are bit-identical to the one-shot [`solve_movd_with`], which
+/// lowers its freshly built diagram and runs this same scan.
 pub fn solve_arena_cancellable_with(
     query: &MolqQuery,
     arena: &MovdArena,
@@ -175,25 +144,27 @@ pub fn solve_arena_cancellable_with(
     optimize_lanes(query, lanes, arena.footprint_bytes(), cancel, exec)
 }
 
-/// The Optimizer: one Fermat–Weber problem per OVR, sharing a global cost
-/// bound (Algorithm 5), executed on the [`GroupScan`] layer. Correctness
-/// does not require the local optimum to stay inside its OVR (§5.3, Fig 7):
-/// each candidate's `WGD` upper-bounds the global optimum, and the OVR
-/// containing the true optimum contributes a candidate at least as good.
+/// The one-shot paper pipeline's Optimizer: lowers the freshly built
+/// diagram into its arena and runs the same scan the serving path does.
 fn optimize(
     query: &MolqQuery,
     movd: &Movd,
     cancel: &CancelToken,
     exec: ExecConfig,
 ) -> Result<MovdAnswer, MolqError> {
-    // MBRB false positives can merge fewer types than the query has only
-    // if a type's diagram failed to cover the OVR — impossible by
-    // Property 3 — so every OVR group has one object per type.
-    let lanes = FwLanes::from_movd(query, movd);
-    optimize_lanes(query, &lanes, movd.footprint_bytes(), cancel, exec)
+    let arena = MovdArena::from_movd(movd);
+    let lanes = FwLanes::from_arena(query, &arena);
+    optimize_lanes(query, &lanes, arena.footprint_bytes(), cancel, exec)
 }
 
-/// Shared Optimizer core over the SoA cost lanes.
+/// The Optimizer over the SoA cost lanes: one Fermat–Weber problem per OVR,
+/// sharing a global cost bound (Algorithm 5), executed on the [`GroupScan`]
+/// layer. Correctness does not require the local optimum to stay inside its
+/// OVR (§5.3, Fig 7): each candidate's `WGD` upper-bounds the global
+/// optimum, and the OVR containing the true optimum contributes a candidate
+/// at least as good. (MBRB false positives could merge fewer types than the
+/// query has only if a type's diagram failed to cover the OVR — impossible
+/// by Property 3 — so every group has one object per type.)
 ///
 /// Determinism: a candidate is emitted whenever its cost is within the bound
 /// it was solved under (`<=`, so equal-cost candidates all survive), and the
@@ -240,6 +211,7 @@ fn optimize_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{build_movd, BuildPlan};
     use crate::object::ObjectSet;
     use crate::solutions::ssc::solve_ssc;
     use crate::weights::mwgd;
@@ -301,14 +273,29 @@ mod tests {
         );
     }
 
+    /// The serving path: the Optimizer over a prebuilt arena and its lanes.
+    fn solve_served(
+        q: &MolqQuery,
+        arena: &MovdArena,
+        cancel: &CancelToken,
+        exec: ExecConfig,
+    ) -> Result<MovdAnswer, MolqError> {
+        solve_arena_cancellable_with(q, arena, &FwLanes::from_arena(q, arena), cancel, exec)
+    }
+
+    fn rrb_arena(q: &MolqQuery) -> MovdArena {
+        MovdArena::from_movd(&Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap())
+    }
+
     #[test]
     fn prebuilt_solve_matches_fresh_solve() {
         let q = three_type_query([6, 5, 7]);
-        let movd = Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap();
+        let arena = rrb_arena(&q);
         let fresh = solve_rrb(&q).unwrap();
         // Serving path: solve twice from the same prebuilt diagram.
         for _ in 0..2 {
-            let served = solve_prebuilt(&q, &movd).unwrap();
+            let served =
+                solve_served(&q, &arena, &CancelToken::never(), ExecConfig::default()).unwrap();
             assert_eq!(served.location, fresh.location);
             assert_eq!(served.cost, fresh.cost);
             assert_eq!(served.ovr_count, fresh.ovr_count);
@@ -316,25 +303,21 @@ mod tests {
     }
 
     #[test]
-    fn arena_solve_is_bit_identical_to_pointer_solve() {
+    fn one_shot_solve_is_bit_identical_to_built_arena_solve() {
         let q = three_type_query([6, 5, 7]);
         for mode in [Boundary::Rrb, Boundary::Mbrb] {
-            let movd = Movd::overlap_all(&q.sets, q.bounds, mode).unwrap();
-            let arena = MovdArena::from_movd(&movd);
-            let lanes = FwLanes::from_arena(&q, &arena);
             for threads in [1, 4] {
                 let exec = ExecConfig { threads };
-                let pointer =
-                    solve_prebuilt_cancellable_with(&q, &movd, &CancelToken::never(), exec)
-                        .unwrap();
-                let via_arena =
-                    solve_arena_cancellable_with(&q, &arena, &lanes, &CancelToken::never(), exec)
-                        .unwrap();
-                assert_eq!(pointer.location.x.to_bits(), via_arena.location.x.to_bits());
-                assert_eq!(pointer.location.y.to_bits(), via_arena.location.y.to_bits());
-                assert_eq!(pointer.cost.to_bits(), via_arena.cost.to_bits());
-                assert_eq!(pointer.ovr_count, via_arena.ovr_count);
-                assert_eq!(pointer.movd_bytes, via_arena.movd_bytes);
+                let (movd, _) =
+                    build_movd(&q.sets, q.bounds, mode, &BuildPlan::exact(), exec).unwrap();
+                let arena = MovdArena::from_movd(&movd);
+                let one_shot = solve_movd_with(&q, mode, exec).unwrap();
+                let served = solve_served(&q, &arena, &CancelToken::never(), exec).unwrap();
+                assert_eq!(one_shot.location.x.to_bits(), served.location.x.to_bits());
+                assert_eq!(one_shot.location.y.to_bits(), served.location.y.to_bits());
+                assert_eq!(one_shot.cost.to_bits(), served.cost.to_bits());
+                assert_eq!(one_shot.ovr_count, served.ovr_count);
+                assert_eq!(one_shot.movd_bytes, served.movd_bytes);
             }
         }
     }
@@ -342,15 +325,16 @@ mod tests {
     #[test]
     fn cancelled_solve_stops_with_partial_progress() {
         let q = three_type_query([6, 5, 7]);
-        let movd = Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap();
+        let arena = rrb_arena(&q);
+        let exec = ExecConfig::default();
 
         // A pre-cancelled token stops before any group.
         let token = CancelToken::new();
         token.cancel();
-        match solve_prebuilt_cancellable(&q, &movd, &token) {
+        match solve_served(&q, &arena, &token, exec) {
             Err(MolqError::Cancelled { completed, total }) => {
                 assert_eq!(completed, 0);
-                assert_eq!(total, movd.len());
+                assert_eq!(total, arena.len());
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
@@ -358,14 +342,14 @@ mod tests {
         // An expired deadline stops mid-scan too (first checkpoint).
         let expired = CancelToken::with_deadline(std::time::Instant::now());
         assert!(matches!(
-            solve_prebuilt_cancellable(&q, &movd, &expired),
+            solve_served(&q, &arena, &expired, exec),
             Err(MolqError::Cancelled { .. })
         ));
 
         // A token that never fires matches the plain solve exactly.
-        let fresh = solve_prebuilt(&q, &movd).unwrap();
+        let fresh = solve_served(&q, &arena, &CancelToken::never(), exec).unwrap();
         let open = CancelToken::new();
-        let answered = solve_prebuilt_cancellable(&q, &movd, &open).unwrap();
+        let answered = solve_served(&q, &arena, &open, exec).unwrap();
         assert_eq!(fresh.location, answered.location);
         assert_eq!(fresh.cost, answered.cost);
     }

@@ -8,7 +8,7 @@
 //! The cost-bound machinery generalises cleanly: the pruning bound is the
 //! current k-th best cost instead of the single best.
 
-use crate::arena::{FwLanes, GroupSource, MovdArena};
+use crate::arena::{FwLanes, MovdArena};
 use crate::cancel::CancelToken;
 use crate::error::MolqError;
 use crate::exec::{ExecConfig, GroupScan, SharedBound};
@@ -75,33 +75,16 @@ pub fn solve_topk_with(
 ) -> Result<TopKAnswer, MolqError> {
     query.validate()?;
     let movd = Movd::overlap_all_with(&query.sets, query.bounds, mode, exec)?;
-    solve_topk_prebuilt_cancellable_with(query, &movd, k, &CancelToken::never(), exec)
+    let arena = MovdArena::from_movd(&movd);
+    let lanes = FwLanes::from_arena(query, &arena);
+    solve_topk_arena_cancellable_with(query, &arena, &lanes, k, &CancelToken::never(), exec)
 }
 
-/// Top-k over an already-built MOVD (the serving-path counterpart of
-/// [`solve_topk`]; see `crate::solutions::movd_based::solve_prebuilt`).
-pub fn solve_topk_prebuilt(
-    query: &MolqQuery,
-    movd: &Movd,
-    k: usize,
-) -> Result<TopKAnswer, MolqError> {
-    solve_topk_prebuilt_cancellable(query, movd, k, &CancelToken::never())
-}
-
-/// [`solve_topk_prebuilt`] with cooperative cancellation: checks `cancel`
-/// once per OVR group and returns [`MolqError::Cancelled`] (with progress
-/// counters) when the token has fired.
-pub fn solve_topk_prebuilt_cancellable(
-    query: &MolqQuery,
-    movd: &Movd,
-    k: usize,
-    cancel: &CancelToken,
-) -> Result<TopKAnswer, MolqError> {
-    solve_topk_prebuilt_cancellable_with(query, movd, k, cancel, ExecConfig::default())
-}
-
-/// [`solve_topk_prebuilt_cancellable`] with an explicit execution
-/// configuration, on the [`GroupScan`] layer.
+/// Top-k over an arena-backed diagram with prebuilt cost lanes (the serving
+/// path — see `solve_arena_cancellable_with`), on the [`GroupScan`] layer.
+/// Checks `cancel` once per OVR group and returns [`MolqError::Cancelled`]
+/// (with progress counters) when the token has fired. Bit-identical to the
+/// one-shot [`solve_topk_with`], which lowers its diagram and runs this scan.
 ///
 /// Top-k selection is order-sensitive (spatial dedup can merge candidates),
 /// so the scan emits *every* solved, contained candidate and the final
@@ -111,23 +94,6 @@ pub fn solve_topk_prebuilt_cancellable(
 /// k-th-best cost into a [`SharedBound`] used purely for pruning: the list
 /// only ever improves, so that bound is monotonically non-increasing and can
 /// never prune a candidate that belongs in the final top-k.
-pub fn solve_topk_prebuilt_cancellable_with(
-    query: &MolqQuery,
-    movd: &Movd,
-    k: usize,
-    cancel: &CancelToken,
-    exec: ExecConfig,
-) -> Result<TopKAnswer, MolqError> {
-    query.validate()?;
-    let lanes = FwLanes::from_movd(query, movd);
-    topk_impl(query, movd, &lanes, k, cancel, exec)
-}
-
-/// Top-k over an arena-backed diagram with prebuilt cost lanes (the serving
-/// path — see `solve_arena_cancellable_with`). Bit-identical to
-/// [`solve_topk_prebuilt_cancellable_with`] on the equivalent pointer-based
-/// diagram: groups, containment decisions, and Fermat–Weber terms all come
-/// from the same kernels.
 pub fn solve_topk_arena_cancellable_with(
     query: &MolqQuery,
     arena: &MovdArena,
@@ -137,24 +103,13 @@ pub fn solve_topk_arena_cancellable_with(
     exec: ExecConfig,
 ) -> Result<TopKAnswer, MolqError> {
     query.validate()?;
-    topk_impl(query, arena, lanes, k, cancel, exec)
-}
-
-fn topk_impl<S: GroupSource>(
-    query: &MolqQuery,
-    src: &S,
-    lanes: &FwLanes,
-    k: usize,
-    cancel: &CancelToken,
-    exec: ExecConfig,
-) -> Result<TopKAnswer, MolqError> {
     assert!(k >= 1, "k must be at least 1");
     let min_sep =
         DISTINCT_FRACTION * (query.bounds.width().powi(2) + query.bounds.height().powi(2)).sqrt();
 
     let ranking: Mutex<Vec<Candidate>> = Mutex::new(Vec::with_capacity(k + 1));
     let bound = SharedBound::new(f64::INFINITY);
-    let scan = GroupScan::new(src.source_len(), exec, cancel);
+    let scan = GroupScan::new(arena.len(), exec, cancel);
     let out = scan.run(|i, stats| {
         // Prune against the current k-th best (∞ until the list fills).
         let kth = bound.get();
@@ -168,7 +123,7 @@ fn topk_impl<S: GroupSource>(
         // minimal server, so the reported cost is the true MWGD at the
         // location. Outside, another group serves more cheaply and that
         // region's own solve covers the area.
-        if !src.source_contains(i, sol.location) {
+        if !arena.contains(i, sol.location) {
             return None;
         }
         if sol.cost < kth {
@@ -184,14 +139,14 @@ fn topk_impl<S: GroupSource>(
 
     let mut best: Vec<Candidate> = Vec::with_capacity(k + 1);
     for &(i, (location, cost)) in &out.items {
-        admit(&mut best, location, cost, src.source_group(i), k, min_sep);
+        admit(&mut best, location, cost, arena.group(i), k, min_sep);
     }
     if best.is_empty() {
         return Err(MolqError::NoCandidates);
     }
     Ok(TopKAnswer {
         candidates: best,
-        ovr_count: src.source_len(),
+        ovr_count: arena.len(),
         certified_factor: 1.0,
         stats: out.stats,
     })
@@ -246,6 +201,7 @@ fn admit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{build_movd, BuildPlan};
     use crate::object::ObjectSet;
     use crate::solutions::movd_based::solve_rrb;
     use crate::weights::mwgd;
@@ -316,12 +272,29 @@ mod tests {
         }
     }
 
+    /// The serving path: top-k over a prebuilt arena and its lanes.
+    fn topk_served(
+        q: &MolqQuery,
+        arena: &MovdArena,
+        k: usize,
+        cancel: &CancelToken,
+        exec: ExecConfig,
+    ) -> Result<TopKAnswer, MolqError> {
+        let lanes = FwLanes::from_arena(q, arena);
+        solve_topk_arena_cancellable_with(q, arena, &lanes, k, cancel, exec)
+    }
+
+    fn rrb_arena(q: &MolqQuery) -> MovdArena {
+        MovdArena::from_movd(&Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap())
+    }
+
     #[test]
     fn prebuilt_topk_matches_fresh_topk() {
         let q = query();
-        let movd = Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap();
+        let arena = rrb_arena(&q);
         let fresh = solve_topk(&q, Boundary::Rrb, 4).unwrap();
-        let served = solve_topk_prebuilt(&q, &movd, 4).unwrap();
+        let served =
+            topk_served(&q, &arena, 4, &CancelToken::never(), ExecConfig::default()).unwrap();
         assert_eq!(fresh.candidates, served.candidates);
     }
 
@@ -341,28 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn arena_topk_is_bit_identical_to_pointer_topk() {
+    fn one_shot_topk_is_bit_identical_to_built_arena_topk() {
         let q = query();
         for mode in [Boundary::Rrb, Boundary::Mbrb] {
-            let movd = Movd::overlap_all(&q.sets, q.bounds, mode).unwrap();
-            let arena = MovdArena::from_movd(&movd);
-            let lanes = FwLanes::from_arena(&q, &arena);
             for threads in [1, 4] {
                 let exec = ExecConfig { threads };
-                let pointer =
-                    solve_topk_prebuilt_cancellable_with(&q, &movd, 4, &CancelToken::never(), exec)
-                        .unwrap();
-                let via_arena = solve_topk_arena_cancellable_with(
-                    &q,
-                    &arena,
-                    &lanes,
-                    4,
-                    &CancelToken::never(),
-                    exec,
-                )
-                .unwrap();
-                assert_eq!(pointer.candidates, via_arena.candidates);
-                assert_eq!(pointer.ovr_count, via_arena.ovr_count);
+                let (movd, _) =
+                    build_movd(&q.sets, q.bounds, mode, &BuildPlan::exact(), exec).unwrap();
+                let arena = MovdArena::from_movd(&movd);
+                let one_shot = solve_topk_with(&q, mode, 4, exec).unwrap();
+                let served = topk_served(&q, &arena, 4, &CancelToken::never(), exec).unwrap();
+                assert_eq!(one_shot.candidates, served.candidates);
+                assert_eq!(one_shot.ovr_count, served.ovr_count);
             }
         }
     }
@@ -370,23 +333,24 @@ mod tests {
     #[test]
     fn cancelled_topk_reports_progress() {
         let q = query();
-        let movd = Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap();
+        let arena = rrb_arena(&q);
+        let exec = ExecConfig::default();
         let token = CancelToken::new();
         token.cancel();
-        match solve_topk_prebuilt_cancellable(&q, &movd, 3, &token) {
+        match topk_served(&q, &arena, 3, &token, exec) {
             Err(crate::error::MolqError::Cancelled { completed, total }) => {
                 assert_eq!(completed, 0);
-                assert_eq!(total, movd.len());
+                assert_eq!(total, arena.len());
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
-        // An open token answers identically to the plain call.
+        // An open token answers identically to a token that never fires.
         let open = CancelToken::new();
         assert_eq!(
-            solve_topk_prebuilt(&q, &movd, 3).unwrap().candidates,
-            solve_topk_prebuilt_cancellable(&q, &movd, 3, &open)
+            topk_served(&q, &arena, 3, &CancelToken::never(), exec)
                 .unwrap()
-                .candidates
+                .candidates,
+            topk_served(&q, &arena, 3, &open, exec).unwrap().candidates
         );
     }
 

@@ -38,6 +38,19 @@ fn bounds() -> Mbr {
     Mbr::new(BOUNDS.0, BOUNDS.1, BOUNDS.2, BOUNDS.3)
 }
 
+/// The serving-path solve over a built diagram lowered into its arena.
+fn solve_built(query: &MolqQuery, movd: &Movd) -> Result<MovdAnswer, MolqError> {
+    let arena = MovdArena::from_movd(movd);
+    let lanes = FwLanes::from_arena(query, &arena);
+    solve_arena_cancellable_with(
+        query,
+        &arena,
+        &lanes,
+        &CancelToken::never(),
+        ExecConfig::serial(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -48,7 +61,7 @@ proptest! {
             &sets, bounds(), Boundary::Rrb, &BuildPlan::exact(), ExecConfig::serial(),
         ).unwrap();
         prop_assert_eq!(exact_meta.certified_factor(), 1.0);
-        let exact = solve_prebuilt(&query, &exact_movd).unwrap();
+        let exact = solve_built(&query, &exact_movd).unwrap();
 
         for epsilon in [0.5, 0.1, 0.01] {
             let (approx_movd, meta) = build_movd(
@@ -56,7 +69,7 @@ proptest! {
             ).unwrap();
             prop_assert!(meta.mode.is_approx());
             prop_assert!(meta.fully_certified(), "ε = {epsilon}: forced leaves");
-            let approx = solve_prebuilt(&query, &approx_movd).unwrap();
+            let approx = solve_built(&query, &approx_movd).unwrap();
 
             // The certificate, with a hair of Fermat–Weber stopping slack:
             // the approximate optimum can never beat the exact one, and can
@@ -95,8 +108,8 @@ proptest! {
             prop_assert_eq!(meta, BuildMeta::exact());
             prop_assert!(movd_bits_eq(&piped, &direct), "{boundary:?}");
 
-            let a = solve_prebuilt(&query, &direct).unwrap();
-            let b = solve_prebuilt(&query, &piped).unwrap();
+            let a = solve_built(&query, &direct).unwrap();
+            let b = solve_built(&query, &piped).unwrap();
             prop_assert_eq!(a.cost.to_bits(), b.cost.to_bits());
             prop_assert_eq!(a.location.x.to_bits(), b.location.x.to_bits());
             prop_assert_eq!(a.location.y.to_bits(), b.location.y.to_bits());

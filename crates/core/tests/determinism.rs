@@ -42,6 +42,25 @@ fn bits(p: Point) -> (u64, u64) {
     (p.x.to_bits(), p.y.to_bits())
 }
 
+fn served_solve(
+    q: &MolqQuery,
+    arena: &MovdArena,
+    cancel: &CancelToken,
+    exec: ExecConfig,
+) -> Result<MovdAnswer, MolqError> {
+    solve_arena_cancellable_with(q, arena, &FwLanes::from_arena(q, arena), cancel, exec)
+}
+
+fn served_topk(
+    q: &MolqQuery,
+    arena: &MovdArena,
+    k: usize,
+    cancel: &CancelToken,
+    exec: ExecConfig,
+) -> Result<TopKAnswer, MolqError> {
+    solve_topk_arena_cancellable_with(q, arena, &FwLanes::from_arena(q, arena), k, cancel, exec)
+}
+
 #[test]
 fn solve_is_bit_identical_across_thread_counts() {
     let q = query();
@@ -60,11 +79,11 @@ fn prebuilt_solve_is_bit_identical_across_thread_counts() {
     let q = query();
     let movd =
         Movd::overlap_all_with(&q.sets, q.bounds, Boundary::Rrb, ExecConfig::serial()).unwrap();
+    let arena = MovdArena::from_movd(&movd);
     let open = CancelToken::new();
-    let baseline = solve_prebuilt_cancellable_with(&q, &movd, &open, ExecConfig::serial()).unwrap();
+    let baseline = served_solve(&q, &arena, &open, ExecConfig::serial()).unwrap();
     for threads in THREADS {
-        let ans =
-            solve_prebuilt_cancellable_with(&q, &movd, &open, ExecConfig::new(threads)).unwrap();
+        let ans = served_solve(&q, &arena, &open, ExecConfig::new(threads)).unwrap();
         assert_eq!(bits(ans.location), bits(baseline.location), "{threads}");
         assert_eq!(ans.cost.to_bits(), baseline.cost.to_bits(), "{threads}");
     }
@@ -147,24 +166,24 @@ fn weighted_rrb_cancellable_matches_plain_and_cancels() {
 #[test]
 fn cancelled_scans_report_monotone_progress_at_any_thread_count() {
     let q = query();
-    let movd = Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap();
+    let arena = MovdArena::from_movd(&Movd::overlap_all(&q.sets, q.bounds, Boundary::Rrb).unwrap());
     for threads in THREADS {
         let exec = ExecConfig::new(threads);
 
         // Pre-cancelled: zero progress, exact totals.
         let token = CancelToken::new();
         token.cancel();
-        match solve_prebuilt_cancellable_with(&q, &movd, &token, exec) {
+        match served_solve(&q, &arena, &token, exec) {
             Err(MolqError::Cancelled { completed, total }) => {
                 assert_eq!(completed, 0, "{threads}");
-                assert_eq!(total, movd.len(), "{threads}");
+                assert_eq!(total, arena.len(), "{threads}");
             }
             other => panic!("{threads}: expected Cancelled, got {other:?}"),
         }
-        match solve_topk_prebuilt_cancellable_with(&q, &movd, 3, &token, exec) {
+        match served_topk(&q, &arena, 3, &token, exec) {
             Err(MolqError::Cancelled { completed, total }) => {
                 assert_eq!(completed, 0, "{threads}");
-                assert_eq!(total, movd.len(), "{threads}");
+                assert_eq!(total, arena.len(), "{threads}");
             }
             other => panic!("{threads}: expected Cancelled, got {other:?}"),
         }
@@ -173,9 +192,9 @@ fn cancelled_scans_report_monotone_progress_at_any_thread_count() {
         // delay: progress stays within [0, total].
         let expiring = CancelToken::with_deadline(Instant::now() + Duration::from_micros(200))
             .with_checkpoint_delay(Duration::from_micros(100));
-        match solve_prebuilt_cancellable_with(&q, &movd, &expiring, exec) {
+        match served_solve(&q, &arena, &expiring, exec) {
             Err(MolqError::Cancelled { completed, total }) => {
-                assert_eq!(total, movd.len(), "{threads}");
+                assert_eq!(total, arena.len(), "{threads}");
                 assert!(completed <= total, "{threads}: {completed}/{total}");
             }
             Ok(_) => {} // the scan can win the race on a fast machine

@@ -1,16 +1,12 @@
 //! Spatial indexes supporting the MOLQ pipeline.
 //!
-//! * [`grid::UniformGrid`] — bucket grid used to seed the
-//!   Delaunay walk point-location and for dense range counting,
 //! * [`kdtree::KdTree`] — static 2-d tree for exact nearest-neighbour
-//!   queries (ground truth in tests, closest-object lookups in examples),
-//! * [`rtree::RTree`] — STR bulk-loaded R-tree over MBRs, used to probe
-//!   which overlapped Voronoi region contains a candidate location.
+//!   queries (cell ownership in the Voronoi builders, ground truth in tests,
+//!   closest-object lookups in examples).
+//!
+//! Point location over a built MOVD is `molq_core::locate_grid::LocateGrid`,
+//! a flat grid the snapshot store persists with the diagram.
 
-pub mod grid;
 pub mod kdtree;
-pub mod rtree;
 
-pub use grid::UniformGrid;
 pub use kdtree::KdTree;
-pub use rtree::RTree;

@@ -1633,7 +1633,7 @@ pub fn apply_one(
                     let stats = PatchStats {
                         cells_reclipped: 0,
                         ovrs_kept: 0,
-                        ovrs_rederived: rebuilt.movd().len(),
+                        ovrs_rederived: rebuilt.index().len(),
                         grid_patched: false,
                         segments_copied: 0,
                         wall: t0.elapsed(),
@@ -1746,10 +1746,10 @@ mod tests {
         parallel.set_exec_config(ExecConfig::new(4));
         assert_eq!(parallel.exec_config(), ExecConfig::new(4));
         let p = parallel.load_from_sets(spec("d"), sets).unwrap();
-        assert_eq!(s.index.movd().ovrs, p.index.movd().ovrs);
+        assert_eq!(s.index.arena(), p.index.arena());
         // Reloads keep the configured parallelism and still match.
         let r = parallel.reload("d").unwrap();
-        assert_eq!(r.index.movd().ovrs, s.index.movd().ovrs);
+        assert_eq!(r.index.arena(), s.index.arena());
     }
 
     #[test]
@@ -1823,7 +1823,7 @@ mod tests {
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
         assert_eq!(restored.generation, 1);
         assert_eq!(restored.object_count(), built.object_count());
-        assert_eq!(restored.index.movd().len(), built.index.movd().len());
+        assert_eq!(restored.index.len(), built.index.len());
         for gi in 0..25 {
             let l = Point::new(
                 (gi as f64 * 7.7 + 0.3) % 100.0,
@@ -1977,7 +1977,7 @@ mod tests {
                 served.query.sets.clone(),
             )
             .unwrap();
-        assert_eq!(served.index.movd().ovrs, fresh.index.movd().ovrs);
+        assert_eq!(served.index.arena(), fresh.index.arena());
 
         // Restart: base + journal replay reproduces the served diagram.
         let journal_file = journal_path(&dir, "d");
@@ -1986,7 +1986,7 @@ mod tests {
         let restarted = Engine::new();
         let (replayed, outcome) = restarted.load_traced(spec.clone()).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
-        assert_eq!(replayed.index.movd().ovrs, served.index.movd().ovrs);
+        assert_eq!(replayed.index.arena(), served.index.arena());
         assert_eq!(replayed.object_count(), 22);
         assert_eq!(restarted.update_stats().replayed, 2);
 
@@ -2140,7 +2140,7 @@ mod tests {
         let (snap, outcome) = restarted.load_traced(spec.clone()).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
         assert_eq!(snap.update_epoch, 1);
-        assert_eq!(snap.index.movd().ovrs, served.index.movd().ovrs);
+        assert_eq!(snap.index.arena(), served.index.arena());
         assert_eq!(restarted.update_stats().replayed, 0);
 
         // Post-compaction updates journal at the new epoch and replay again.
@@ -2152,7 +2152,7 @@ mod tests {
         let (snap, outcome) = restarted.load_traced(spec).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
         assert_eq!(restarted.update_stats().replayed, 1);
-        assert_eq!(snap.index.movd().ovrs, served.index.movd().ovrs);
+        assert_eq!(snap.index.arena(), served.index.arena());
 
         // Compacting a dataset without persistence is refused.
         let memory = Engine::new();
@@ -2225,8 +2225,24 @@ mod tests {
         // The approximate optimum is within the certified factor of the
         // exact one.
         let exact = Engine::new().load_from_sets(spec("ex"), sets).unwrap();
-        let a = solve_prebuilt(&snap.query, snap.index.movd()).unwrap();
-        let e = solve_prebuilt(&exact.query, exact.index.movd()).unwrap();
+        let never = CancelToken::never();
+        let exec = ExecConfig::default();
+        let a = solve_arena_cancellable_with(
+            &snap.query,
+            snap.index.arena(),
+            snap.lanes(),
+            &never,
+            exec,
+        )
+        .unwrap();
+        let e = solve_arena_cancellable_with(
+            &exact.query,
+            exact.index.arena(),
+            exact.lanes(),
+            &never,
+            exec,
+        )
+        .unwrap();
         let slack = 1.0 + 1e-6;
         assert!(a.cost >= e.cost / slack);
         assert!(a.cost <= snap.build_meta.certified_factor() * e.cost * slack);
@@ -2254,7 +2270,7 @@ mod tests {
             .reload_with_mode("ap", Some(BuildMode::from_epsilon(Some(0.0))))
             .unwrap();
         assert!(!back.build_meta.mode.is_approx());
-        assert_eq!(back.index.movd().ovrs, exact.index.movd().ovrs);
+        assert_eq!(back.index.arena(), exact.index.arena());
         let forward = engine
             .reload_with_mode("ap", Some(BuildMode::from_epsilon(Some(0.5))))
             .unwrap();
@@ -2285,7 +2301,7 @@ mod tests {
             0.2f64.to_bits()
         );
         assert_eq!(restored.build_meta.leaves, built.build_meta.leaves);
-        assert_eq!(restored.index.movd().ovrs, built.index.movd().ovrs);
+        assert_eq!(restored.index.arena(), built.index.arena());
 
         // An exact spec against the approximate snapshot is stale (and vice
         // versa): the build mode is part of the snapshot identity.

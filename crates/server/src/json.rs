@@ -308,13 +308,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII and the input came from a `&str`, so
+                    // the run is valid UTF-8, and each byte is decoded once.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| self.pos + i);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -418,6 +422,23 @@ mod tests {
             Some(25.0)
         );
         assert_eq!(j.get("a").unwrap().as_arr().unwrap()[2].as_str(), Some("A"));
+    }
+
+    #[test]
+    fn long_and_multibyte_strings_parse_in_linear_time() {
+        // Several MiB in one string: a parser that re-validates the rest of
+        // the input per character would not finish within the test timeout.
+        let long = "ab\"c\\é".repeat(600_000);
+        let j = Json::obj().set("s", long.as_str()).set("t", "ü→😀 \u{7f}");
+        let text = j.encode();
+        assert!(text.len() > 4 << 20);
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back, j);
+        assert_eq!(back.get("s").unwrap().as_str(), Some(long.as_str()));
+        assert_eq!(
+            Json::parse("\"x\\u00e9y😀\"").unwrap().as_str(),
+            Some("xéy😀")
+        );
     }
 
     #[test]

@@ -1346,7 +1346,15 @@ mod tests {
         assert_eq!(topk.status, 200, "{:?}", topk.body);
         let candidates = topk.body.get("candidates").unwrap().as_arr().unwrap();
         assert!(!candidates.is_empty() && candidates.len() <= 3);
-        let expected = solve_topk_prebuilt(&snap.query, snap.index.movd(), 3).unwrap();
+        let expected = solve_topk_arena_cancellable_with(
+            &snap.query,
+            snap.index.arena(),
+            snap.lanes(),
+            3,
+            &CancelToken::never(),
+            ExecConfig::default(),
+        )
+        .unwrap();
         for (got, want) in candidates.iter().zip(expected.candidates.iter()) {
             let c = got.get("cost").unwrap().as_f64().unwrap();
             assert!((c - want.cost).abs() <= 1e-9 * want.cost.max(1.0));

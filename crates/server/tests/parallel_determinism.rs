@@ -100,7 +100,7 @@ fn rebuilt_snapshots_match_across_thread_counts() {
     let b = parallel.engine().get("default").unwrap();
     assert_eq!(a.generation, 2);
     assert_eq!(b.generation, 2);
-    assert_eq!(a.index.movd().ovrs, b.index.movd().ovrs);
+    assert_eq!(a.index.arena(), b.index.arena());
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn stats_surface_scan_telemetry() {
     let evaluated = scan.get("groups_evaluated").unwrap().as_u64().unwrap();
     // /solve walks every OVR group; /locate adds its candidate set.
     assert!(
-        evaluated >= snap.index.movd().len() as u64,
+        evaluated >= snap.index.len() as u64,
         "groups_evaluated = {evaluated}"
     );
     assert!(scan.get("groups_pruned").unwrap().as_u64().is_some());

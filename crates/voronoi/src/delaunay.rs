@@ -12,6 +12,10 @@
 //! absent. The MOLQ pipeline does not consume this structure for region
 //! construction — [`crate::ordinary`] builds cells directly — so the caveat
 //! only bounds what the adjacency accessors promise.
+//!
+//! The triangulation stays in the crate as a verification oracle: it is an
+//! independent construction, and `tests/cross_checks.rs` checks that every
+//! interior neighbour pair of the vertex-certified cells is a Delaunay edge.
 
 use molq_geom::robust::{incircle, orient2d};
 use molq_geom::{Circle, Point};

@@ -14,9 +14,9 @@
 //!   exactness. No global topological structure that could corrupt on
 //!   degenerate input.
 //! * [`delaunay::Delaunay`] — an incremental Bowyer–Watson Delaunay
-//!   triangulation with robust predicates and walk point-location; the dual
-//!   ordinary-Voronoi adjacency is cross-checked against the cell
-//!   construction in tests.
+//!   triangulation with robust predicates and walk point-location, kept as
+//!   the verification oracle whose dual adjacency the cell construction is
+//!   cross-checked against in tests.
 //! * [`weighted::WeightedVoronoi`] — multiplicatively and
 //!   additively weighted diagrams (Fig 5 of the paper): exact dominance
 //!   predicates, analytic superset MBRs of dominance regions (Apollonius

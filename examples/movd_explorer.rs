@@ -1,5 +1,5 @@
 //! MOVD as a reusable data product: build it once, then answer "which
-//! objects serve this location?" probes via the R-tree point-location index,
+//! objects serve this location?" probes via the grid point-location index,
 //! and render the diagram plus the optimal location to an SVG file.
 //!
 //! Run with: `cargo run --release --example movd_explorer`
@@ -25,8 +25,17 @@ fn main() {
         bounds.area()
     );
 
-    // …then reuse it: the answer via the optimizer,
-    let answer = solve_rrb(&query).expect("valid query");
+    // …then reuse it: lower it into the serving index once,
+    let index = MovdIndex::build(movd.clone());
+    // the answer via the optimizer over the prebuilt diagram (the same
+    // answer a one-shot solve gives, bit for bit),
+    let lanes = FwLanes::from_arena(&query, index.arena());
+    let never = CancelToken::never();
+    let answer =
+        solve_arena_cancellable_with(&query, index.arena(), &lanes, &never, ExecConfig::default())
+            .expect("valid query");
+    let one_shot = solve_rrb(&query).expect("valid query");
+    assert_eq!(answer.cost.to_bits(), one_shot.cost.to_bits());
     println!(
         "optimal location ({:.1}, {:.1}) with cost {:.1}",
         answer.location.x, answer.location.y, answer.cost
@@ -34,15 +43,14 @@ fn main() {
 
     // …and location probes via the index (Property 5: the OVR's objects are
     // the weighted-nearest of every type for all locations inside it).
-    let index = MovdIndex::build(movd.clone());
     for probe in [
         molq::geom::Point::new(100.0, 100.0),
         molq::geom::Point::new(500.0, 500.0),
         answer.location,
     ] {
-        let ovr = index.locate(probe).expect("RRB MOVDs cover the space");
-        let names: Vec<String> = ovr
-            .pois
+        let id = index.locate_id(probe).expect("RRB MOVDs cover the space");
+        let names: Vec<String> = index
+            .group(id)
             .iter()
             .map(|r| format!("{}#{}", query.sets[r.set].name, r.index))
             .collect();

@@ -14,7 +14,7 @@
 //!
 //! * [`geom`] — geometry substrate (robust predicates, polygon clipping,
 //!   MBRs),
-//! * [`index`] — spatial indexes (grid, kd-tree, R-tree),
+//! * [`index`] — the kd-tree nearest-neighbour index,
 //! * [`voronoi`] — Delaunay triangulation, ordinary and weighted Voronoi
 //!   diagrams,
 //! * [`fw`] — Fermat–Weber solvers (exact cases, Weiszfeld/Vardi–Zhang,

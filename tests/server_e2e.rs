@@ -90,9 +90,10 @@ fn concurrent_clients_get_library_exact_answers() {
                                 at.get("y").unwrap().as_f64().unwrap(),
                             );
                             // The server's group cost at the evaluated point
-                            // equals what MovdIndex::locate yields directly.
-                            let ovr = oracle_index.locate(snapped).unwrap();
-                            let oracle = molq_core::weights::wgd(snapped, &query, &ovr.pois);
+                            // equals what MovdIndex::locate_id yields directly.
+                            let id = oracle_index.locate_id(snapped).unwrap();
+                            let oracle =
+                                molq_core::weights::wgd(snapped, &query, oracle_index.group(id));
                             let cost = resp.body.get("cost").unwrap().as_f64().unwrap();
                             assert!(
                                 (cost - oracle).abs() <= 1e-9 * oracle.max(1.0),
