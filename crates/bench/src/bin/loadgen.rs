@@ -20,13 +20,12 @@
 //! `--sweep 64,256,1024` repeats the workload once per listed connection
 //! count and prints a summary table.
 //!
-//! `503`s (accept-queue overload or deadline shedding) are retried up to
+//! `503`s (connection-cap overload or deadline shedding) are retried up to
 //! `--retries` times with jittered exponential backoff, honoring the
 //! server's `Retry-After` hint as the floor.
 //!
 //! By default an in-process server is started over synthetic GeoNames-style
-//! layers (transport selectable with `--transport pool|epoll`), so the
-//! binary is self-contained:
+//! layers, so the binary is self-contained:
 //!
 //! ```text
 //! cargo run --release -p molq-bench --bin loadgen -- --threads 4 --requests 500
@@ -37,7 +36,7 @@
 use molq_datagen::{geonames::layer_object_set, GeoLayer};
 use molq_geom::Mbr;
 use molq_server::engine::{DatasetSpec, Engine};
-use molq_server::http::{start, ServerConfig, ServerHandle, Transport};
+use molq_server::http::{start, ServerConfig, ServerHandle};
 use molq_server::service::Service;
 use molq_server::Client;
 use std::net::SocketAddr;
@@ -80,8 +79,6 @@ struct Config {
     /// Connection counts to sweep; empty runs a single measurement at
     /// `threads`.
     sweep: Vec<usize>,
-    /// Transport for the in-process server (ignored with `--addr`).
-    transport: Transport,
 }
 
 impl Default for Config {
@@ -99,7 +96,6 @@ impl Default for Config {
             batch: 0,
             duration_ms: None,
             sweep: Vec::new(),
-            transport: Transport::from_env().unwrap_or_default(),
         }
     }
 }
@@ -140,10 +136,6 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
                 if cfg.sweep.contains(&0) {
                     return Err("--sweep: connection counts must be positive".into());
                 }
-            }
-            "--transport" => {
-                cfg.transport = Transport::parse(value)
-                    .ok_or_else(|| format!("--transport: unknown transport {value:?}"))?
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -209,7 +201,6 @@ fn spawn_in_process_server(cfg: &Config) -> Result<ServerHandle, String> {
         Arc::new(Service::new(engine)),
         ServerConfig {
             workers: 4,
-            transport: cfg.transport,
             ..ServerConfig::default()
         },
     )
@@ -247,7 +238,7 @@ impl ThreadOutcome {
 }
 
 /// Issues one request, transparently reconnecting once if the server closed
-/// the keep-alive connection (both transports close after a shed `503`).
+/// the keep-alive connection (the server closes it after a shed `503`).
 fn issue(
     client: &mut Option<Client>,
     addr: SocketAddr,
@@ -582,7 +573,7 @@ mod tests {
         assert!(parse_mix("1:2").is_err());
 
         let cfg = parse_args(&argv(
-            "--arrival open --rate 500 --batch 8 --duration-ms 250 --sweep 2,4 --transport pool",
+            "--arrival open --rate 500 --batch 8 --duration-ms 250 --sweep 2,4",
         ))
         .unwrap();
         assert_eq!(cfg.arrival, Arrival::Open);
@@ -590,11 +581,9 @@ mod tests {
         assert_eq!(cfg.batch, 8);
         assert_eq!(cfg.duration_ms, Some(250));
         assert_eq!(cfg.sweep, vec![2, 4]);
-        assert_eq!(cfg.transport, Transport::Pool);
         assert!(parse_args(&argv("--arrival open")).is_err());
         assert!(parse_args(&argv("--arrival sometimes --rate 1")).is_err());
         assert!(parse_args(&argv("--sweep 4,0")).is_err());
-        assert!(parse_args(&argv("--transport carrier-pigeon")).is_err());
     }
 
     #[test]
@@ -607,6 +596,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn end_to_end_against_an_in_process_server() {
         let cfg = Config {
             threads: 2,
@@ -631,6 +621,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn open_loop_batched_soak_reports_items() {
         let cfg = Config {
             threads: 2,
@@ -653,6 +644,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn connection_sweep_prints_one_row_per_point() {
         let cfg = Config {
             requests: 10,

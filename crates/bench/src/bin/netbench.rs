@@ -1,23 +1,23 @@
-//! `netbench` — pool vs. epoll transport comparison for the MOLQ server.
+//! `netbench` — connection scaling and batch amortization of the MOLQ
+//! server's transport.
 //!
 //! Two sweeps against in-process servers over the same synthetic dataset,
 //! results written as `BENCH_PR7.json`:
 //!
-//! * **Connection sweep.** For each transport and each `--conns` point
-//!   (default 64, 256, 1024), that many closed-loop keep-alive clients hit
-//!   `/locate` for `--duration-ms`; the cell records completed requests,
-//!   errors (shed `503`s, reconnects), and latency quantiles. The pool
-//!   transport parks a worker per connection, so past `workers` connections
-//!   the rest shed-churn; the epoll transport multiplexes every connection
-//!   onto the readiness loop and keeps serving all of them.
+//! * **Connection sweep.** For each `--conns` point (default 64, 256,
+//!   1024), that many closed-loop keep-alive clients hit `/locate` for
+//!   `--duration-ms`; the cell records completed requests, errors (shed
+//!   `503`s, reconnects), and latency quantiles. The `--workers` event loops
+//!   multiplex every connection, so every cell must finish without errors:
+//!   the bench exits non-zero (after writing its report) if any does.
 //! * **Batch sweep.** A small fixed client count posts `/topk_batch?n=B`
 //!   for each `--batches` point (default 1, 8, 32, 128), recording item
 //!   throughput and the server's per-batch scan amortization — the payoff
 //!   of pinning one snapshot and running one sweep per distinct key.
 //!
-//! Every client reconnects on error (both transports close a connection
-//! after a shed `503`), so cells complete even when most connections are
-//! being pushed back.
+//! Every client reconnects on error (the server closes a connection after a
+//! shed `503`), so cells complete even when most connections are being
+//! pushed back.
 //!
 //! ```text
 //! cargo run --release -p molq-bench --bin netbench -- --duration-ms 2000 --out BENCH_PR7.json
@@ -26,7 +26,7 @@
 use molq_datagen::{geonames::layer_object_set, GeoLayer};
 use molq_geom::Mbr;
 use molq_server::engine::{DatasetSpec, Engine};
-use molq_server::http::{start, ServerConfig, ServerHandle, Transport};
+use molq_server::http::{start, ServerConfig, ServerHandle};
 use molq_server::service::Service;
 use molq_server::Client;
 use std::fmt::Write as _;
@@ -39,8 +39,8 @@ const SPACE: f64 = 1000.0;
 /// Client socket read timeout — bounds how long a starved client blocks
 /// past the cell deadline.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
-/// Clients driving the batch sweep (few enough that both transports serve
-/// them all; the variable is the batch size, not the connection count).
+/// Clients driving the batch sweep (few on purpose: the variable is the
+/// batch size, not the connection count).
 const BATCH_CONNS: usize = 4;
 
 struct Config {
@@ -105,16 +105,7 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
     Ok(cfg)
 }
 
-/// The transports available on this host.
-fn transports() -> Vec<Transport> {
-    let mut t = vec![Transport::Pool];
-    if cfg!(target_os = "linux") {
-        t.push(Transport::Epoll);
-    }
-    t
-}
-
-fn spawn_server(cfg: &Config, transport: Transport) -> Result<ServerHandle, String> {
+fn spawn_server(cfg: &Config) -> Result<ServerHandle, String> {
     let bounds = Mbr::new(0.0, 0.0, SPACE, SPACE);
     let sets = (0..cfg.sets)
         .map(|i| {
@@ -139,7 +130,6 @@ fn spawn_server(cfg: &Config, transport: Transport) -> Result<ServerHandle, Stri
         Arc::new(Service::new(engine)),
         ServerConfig {
             workers: cfg.workers,
-            transport,
             ..ServerConfig::default()
         },
     )
@@ -228,15 +218,9 @@ fn bench_client(
     outcome
 }
 
-/// Runs one (transport, conns, target) cell against a fresh server.
-fn run_cell(
-    cfg: &Config,
-    transport: Transport,
-    conns: usize,
-    target: &str,
-    batch_items: usize,
-) -> Result<Cell, String> {
-    let handle = spawn_server(cfg, transport)?;
+/// Runs one (conns, target) cell against a fresh server.
+fn run_cell(cfg: &Config, conns: usize, target: &str, batch_items: usize) -> Result<Cell, String> {
+    let handle = spawn_server(cfg)?;
     let addr = handle.addr();
     let started = Instant::now();
     let deadline = started + Duration::from_millis(cfg.duration_ms);
@@ -280,7 +264,14 @@ fn run_cell(
     })
 }
 
-fn run(cfg: &Config) -> Result<String, String> {
+/// A finished sweep: the JSON report and the connection counts whose cell
+/// saw errors.
+struct Report {
+    json: String,
+    failed_conns: Vec<usize>,
+}
+
+fn run(cfg: &Config) -> Result<Report, String> {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -289,102 +280,54 @@ fn run(cfg: &Config) -> Result<String, String> {
     let _ = writeln!(json, "  \"workers\": {},", cfg.workers);
     let _ = writeln!(json, "  \"duration_ms_per_cell\": {},", cfg.duration_ms);
 
-    // Connection sweep: /locate, closed loop, per transport.
-    let mut by_conns: Vec<(usize, Vec<(Transport, Cell)>)> = Vec::new();
+    // Connection sweep: /locate, closed loop.
+    let mut failed_conns = Vec::new();
     let _ = writeln!(json, "  \"connection_sweep\": [");
-    let mut first = true;
-    for &conns in &cfg.conns {
-        let mut cells = Vec::new();
-        for transport in transports() {
-            eprintln!("connection sweep: {} x {conns}...", transport.name());
-            let cell = run_cell(cfg, transport, conns, "/locate?x=500&y=500", 0)?;
-            eprintln!(
-                "  {} conns={conns}: {:.0} req/s p99={}us errors={}",
-                transport.name(),
-                cell.throughput,
-                cell.p99_us,
-                cell.errors
-            );
-            if !first {
-                let _ = writeln!(json, ",");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{\"transport\": \"{}\", \"conns\": {conns}, \"completed\": {}, \
-                 \"errors\": {}, \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}",
-                transport.name(),
-                cell.completed,
-                cell.errors,
-                cell.throughput,
-                cell.p50_us,
-                cell.p99_us,
-            );
-            cells.push((transport, cell));
+    for (i, &conns) in cfg.conns.iter().enumerate() {
+        eprintln!("connection sweep: {conns} conns...");
+        let cell = run_cell(cfg, conns, "/locate?x=500&y=500", 0)?;
+        eprintln!(
+            "  conns={conns}: {:.0} req/s p99={}us errors={}",
+            cell.throughput, cell.p99_us, cell.errors
+        );
+        if cell.errors > 0 {
+            failed_conns.push(conns);
         }
-        by_conns.push((conns, cells));
-    }
-    let _ = writeln!(json, "\n  ],");
-
-    // Head-to-head ratios per connection count (only meaningful when both
-    // transports ran).
-    let _ = writeln!(json, "  \"epoll_vs_pool\": [");
-    let mut first = true;
-    for (conns, cells) in &by_conns {
-        let pool = cells.iter().find(|(t, _)| *t == Transport::Pool);
-        let epoll = cells.iter().find(|(t, _)| *t == Transport::Epoll);
-        if let (Some((_, pool)), Some((_, epoll))) = (pool, epoll) {
-            if !first {
-                let _ = writeln!(json, ",");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{\"conns\": {conns}, \"pool_rps\": {:.1}, \"epoll_rps\": {:.1}, \
-                 \"epoll_over_pool\": {:.3}}}",
-                pool.throughput,
-                epoll.throughput,
-                epoll.throughput / pool.throughput.max(1e-9),
-            );
+        if i > 0 {
+            let _ = writeln!(json, ",");
         }
+        let _ = write!(
+            json,
+            "    {{\"conns\": {conns}, \"completed\": {}, \"errors\": {}, \
+             \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}",
+            cell.completed, cell.errors, cell.throughput, cell.p50_us, cell.p99_us,
+        );
     }
     let _ = writeln!(json, "\n  ],");
 
     // Batch sweep: few connections, varying items per request.
     let _ = writeln!(json, "  \"batch_sweep\": [");
-    let mut first = true;
-    for transport in transports() {
-        for &batch in &cfg.batches {
-            eprintln!("batch sweep: {} x {batch}...", transport.name());
-            let target = format!("/topk_batch?n={batch}&k=3");
-            let cell = run_cell(cfg, transport, BATCH_CONNS, &target, batch)?;
-            eprintln!(
-                "  {} batch={batch}: {:.0} items/s p99={}us",
-                transport.name(),
-                cell.items_per_s,
-                cell.p99_us
-            );
-            if !first {
-                let _ = writeln!(json, ",");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{\"transport\": \"{}\", \"batch\": {batch}, \"conns\": {BATCH_CONNS}, \
-                 \"completed\": {}, \"errors\": {}, \"items_per_s\": {:.1}, \"p50_us\": {}, \
-                 \"p99_us\": {}}}",
-                transport.name(),
-                cell.completed,
-                cell.errors,
-                cell.items_per_s,
-                cell.p50_us,
-                cell.p99_us,
-            );
+    for (i, &batch) in cfg.batches.iter().enumerate() {
+        eprintln!("batch sweep: {batch} items...");
+        let target = format!("/topk_batch?n={batch}&k=3");
+        let cell = run_cell(cfg, BATCH_CONNS, &target, batch)?;
+        eprintln!(
+            "  batch={batch}: {:.0} items/s p99={}us",
+            cell.items_per_s, cell.p99_us
+        );
+        if i > 0 {
+            let _ = writeln!(json, ",");
         }
+        let _ = write!(
+            json,
+            "    {{\"batch\": {batch}, \"conns\": {BATCH_CONNS}, \"completed\": {}, \
+             \"errors\": {}, \"items_per_s\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}",
+            cell.completed, cell.errors, cell.items_per_s, cell.p50_us, cell.p99_us,
+        );
     }
     let _ = writeln!(json, "\n  ]");
     let _ = writeln!(json, "}}");
-    Ok(json)
+    Ok(Report { json, failed_conns })
 }
 
 fn main() {
@@ -397,13 +340,20 @@ fn main() {
         }
     };
     match run(&cfg) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&cfg.out, &json) {
+        Ok(report) => {
+            if let Err(e) = std::fs::write(&cfg.out, &report.json) {
                 eprintln!("{}: {e}", cfg.out);
                 std::process::exit(1);
             }
             println!("wrote {}", cfg.out);
-            print!("{json}");
+            print!("{}", report.json);
+            if !report.failed_conns.is_empty() {
+                eprintln!(
+                    "error: connection sweep cells with errors at conns = {:?}",
+                    report.failed_conns
+                );
+                std::process::exit(1);
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -437,6 +387,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn smoke_sweep_emits_every_section() {
         let cfg = Config {
             duration_ms: 200,
@@ -447,21 +398,17 @@ mod tests {
             objects: 12,
             ..Config::default()
         };
-        let json = run(&cfg).unwrap();
+        let report = run(&cfg).unwrap();
+        let json = report.json;
         for key in [
             "\"bench\": \"netbench\"",
             "\"connection_sweep\"",
             "\"batch_sweep\"",
-            "\"transport\": \"pool\"",
             "\"throughput_rps\"",
             "\"items_per_s\"",
         ] {
             assert!(json.contains(key), "missing {key}:\n{json}");
         }
-        #[cfg(target_os = "linux")]
-        {
-            assert!(json.contains("\"transport\": \"epoll\""), "{json}");
-            assert!(json.contains("\"epoll_over_pool\""), "{json}");
-        }
+        assert!(report.failed_conns.is_empty(), "{json}");
     }
 }

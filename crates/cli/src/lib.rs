@@ -35,7 +35,7 @@ USAGE:
                 [--epsilon <f64>] [--bounds x0,y0,x1,y1]
                 [--shutdown-after <seconds>]
                 [--snapshot-dir <dir>] [--request-timeout <seconds>]
-                [--threads <n>] [--transport <pool|epoll>] [--shards <n>]
+                [--threads <n>] [--shards <n>]
   molq snapshot build   --input <file.csv> [--input <file.csv> ...]
                         --dir <dir> [--name <dataset>] [--algo <rrb|mbrb>]
                         [--eps <f64>] [--epsilon <f64>]
@@ -75,9 +75,9 @@ base file (epoch + 1) and resets the journal.
 pool; answers are bit-identical at any thread count. Defaults to the
 MOLQ_THREADS env var, else serial for solve and all cores for serve.
 
---transport picks the socket layer: the portable blocking worker pool
-(default) or the Linux epoll readiness event loop; responses are
-byte-identical either way. Defaults to the MOLQ_TRANSPORT env var.
+`serve` requires Linux: --workers epoll event loops (default 4) each own
+their connections and answer requests inline; the other commands run
+anywhere.
 --shards spreads named datasets across engine replicas with deterministic
 rendezvous routing; batch queries land on POST /solve_batch and
 POST /topk_batch.
@@ -853,12 +853,6 @@ fn serve(flags: &Flags) -> Result<String, String> {
     if !request_timeout.is_finite() || request_timeout <= 0.0 {
         return Err("--request-timeout must be a positive number of seconds".into());
     }
-    let transport = match flags.get("transport") {
-        // No flag: MOLQ_TRANSPORT, else the portable pool default.
-        None => molq_server::http::Transport::from_env().unwrap_or_default(),
-        Some(v) => molq_server::http::Transport::parse(v)
-            .ok_or_else(|| format!("--transport: unknown transport {v:?} (pool, epoll)"))?,
-    };
     let shards = flags.parse_usize("shards", 1)?;
     if shards == 0 {
         return Err("--shards must be at least 1".into());
@@ -905,7 +899,6 @@ fn serve(flags: &Flags) -> Result<String, String> {
             host,
             port,
             workers,
-            transport,
             ..ServerConfig::default()
         },
     )
@@ -924,7 +917,9 @@ fn serve(flags: &Flags) -> Result<String, String> {
         },
     );
     let _ = writeln!(out, "threads   : {}", exec.threads);
-    let _ = writeln!(out, "transport : {}", transport.name());
+    // The one transport is a worker pool of `--workers` epoll event loops;
+    // the line keeps the name molqbench records as the transport fact.
+    let _ = writeln!(out, "transport : pool");
     if shards > 1 {
         let _ = writeln!(out, "shards    : {shards} ({name} on shard {shard_of})");
     }
@@ -1358,9 +1353,6 @@ mod tests {
         assert!(run(&argv("serve --input x.csv --port notaport"))
             .unwrap_err()
             .contains("--port"));
-        assert!(run(&argv("serve --input x.csv --transport carrier-pigeon"))
-            .unwrap_err()
-            .contains("--transport"));
         assert!(run(&argv("serve --input x.csv --shards 0"))
             .unwrap_err()
             .contains("--shards"));
@@ -1369,6 +1361,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn serve_starts_and_shuts_down() {
         let dir = std::env::temp_dir().join("molq_cli_serve");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1394,8 +1387,8 @@ mod tests {
         assert!(report.contains("served    : 0 requests"), "{report}");
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
+    #[cfg(target_os = "linux")]
     fn serve_runs_the_epoll_transport_with_shards() {
         let dir = std::env::temp_dir().join("molq_cli_serve_epoll");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1407,11 +1400,11 @@ mod tests {
         .unwrap();
         let report = run(&argv(&format!(
             "serve --input {} --bounds 0,0,40,40 --port 0 --workers 2 \
-             --transport epoll --shards 3 --shutdown-after 0.2",
+             --shards 3 --shutdown-after 0.2",
             a.display()
         )))
         .unwrap();
-        assert!(report.contains("transport : epoll"), "{report}");
+        assert!(report.contains("transport : pool"), "{report}");
         assert!(
             report.contains("shards    : 3 (default on shard"),
             "{report}"

@@ -8,7 +8,7 @@
 //! enumeration in `molq-store`: same invariant, but with an actual
 //! process boundary, real files, and real fsyncs.
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 use molq_server::Client;
 use std::io::{BufRead, BufReader, Write};

@@ -1,12 +1,10 @@
 //! `molq-net` — dependency-free readiness event-loop primitives.
 //!
-//! The MOLQ server's original transport is a thread-per-connection worker
-//! pool: concurrency is capped at pool width, and a thousand mostly-idle
-//! keep-alive connections would pin a thousand stacks. This crate provides
-//! the substrate for an event-driven transport instead, in the std-only
-//! discipline of the rest of the repository — no `mio`, no `libc` crate,
-//! just a thin unsafe shim over the handful of syscalls a readiness loop
-//! needs:
+//! The MOLQ server multiplexes many mostly-idle keep-alive connections onto
+//! a few event loops instead of parking a thread per connection. This crate
+//! provides that substrate in the std-only discipline of the rest of the
+//! repository — no `mio`, no `libc` crate, just a thin unsafe shim over the
+//! handful of syscalls a readiness loop needs:
 //!
 //! * [`sys`] — raw `epoll_create1` / `epoll_ctl` / `epoll_wait` /
 //!   `eventfd` declarations plus the constants they consume, every unsafe
@@ -14,8 +12,8 @@
 //! * [`Poller`] — a safe epoll wrapper: register file descriptors with a
 //!   caller-chosen token and an [`Interest`] (readable / writable),
 //!   re-arm, deregister, and block in [`Poller::wait`] for [`Event`]s;
-//! * [`Waker`] — an `eventfd`-backed cross-thread wake-up so worker
-//!   threads can interrupt a blocked `wait` (completion queues, shutdown).
+//! * [`Waker`] — an `eventfd`-backed cross-thread wake-up so another
+//!   thread can interrupt a blocked `wait` (new connections, shutdown).
 //!
 //! The poller is **level-triggered**: an fd with unread input (or writable
 //! buffer space, when writable interest is armed) reports ready on every
@@ -25,8 +23,7 @@
 //! requiring interest to be dropped once it is no longer wanted.
 //!
 //! Everything here is Linux-only (`epoll` is a Linux API). On other
-//! platforms the crate compiles to [`SUPPORTED`] `== false` and no
-//! poller, so callers can fall back to a portable transport at runtime.
+//! platforms the crate compiles empty.
 
 #[cfg(target_os = "linux")]
 pub mod poll;
@@ -39,6 +36,3 @@ pub mod wake;
 pub use poll::{Event, Interest, Poller};
 #[cfg(target_os = "linux")]
 pub use wake::Waker;
-
-/// `true` when this build has a working readiness poller (Linux).
-pub const SUPPORTED: bool = cfg!(target_os = "linux");

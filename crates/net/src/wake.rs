@@ -1,10 +1,10 @@
 //! [`Waker`]: an `eventfd`-backed cross-thread wake-up for a blocked
 //! [`crate::Poller::wait`].
 //!
-//! The event loop registers the waker's fd like any connection; worker
-//! threads call [`Waker::wake`] after pushing onto a completion queue, and
-//! the loop drains the fd when the token fires. Wakes coalesce in the
-//! kernel counter, so a burst of completions costs one event, and waking
+//! The event loop registers the waker's fd like any connection; other
+//! threads call [`Waker::wake`] after pushing work onto the loop's inbox,
+//! and the loop drains the fd when the token fires. Wakes coalesce in the
+//! kernel counter, so a burst of hand-offs costs one event, and waking
 //! is safe from any thread at any time (including after the loop exited —
 //! the write just accumulates in the counter).
 
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub struct Waker {
     fd: i32,
     /// Fast-path suppression: `wake` is a no-op while a wake is already
-    /// pending, so completion bursts do one syscall, not one each.
+    /// pending, so bursts do one syscall, not one each.
     pending: AtomicBool,
 }
 
@@ -44,11 +44,16 @@ impl Waker {
     }
 
     /// Clears the pending wake-up; the event loop calls this when the
-    /// waker's token fires, *before* draining its completion queues (so a
-    /// completion pushed concurrently re-wakes rather than being lost).
+    /// waker's token fires, *before* draining its inbox (so work pushed
+    /// concurrently re-wakes rather than being lost).
+    ///
+    /// The eventfd is read *before* `pending` clears. In the other order a
+    /// `wake` landing between the two steps would see `false`, write, and
+    /// have that write eaten by the read, leaving `pending` stuck at `true`
+    /// over an empty counter: every later `wake` would then be a no-op.
     pub fn drain(&self) {
-        self.pending.store(false, Ordering::Release);
         sys::eventfd_drain(self.fd);
+        self.pending.store(false, Ordering::Release);
     }
 }
 
@@ -111,5 +116,59 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(0)))
             .unwrap();
         assert!(events.is_empty());
+    }
+
+    #[test]
+    fn no_wake_is_lost_to_a_concurrent_drain() {
+        // Two producers hammer `wake` while a consumer waits and drains, so
+        // wakes land between the drain's two steps. A lost wake-up leaves
+        // the waker silent for good, and the final wake below never fires.
+        let waker = Arc::new(Waker::new().unwrap());
+        let stop = Arc::new(AtomicBool::new(false));
+        let producers: Vec<_> = (0..2)
+            .map(|_| {
+                let (waker, stop) = (Arc::clone(&waker), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        waker.wake();
+                    }
+                })
+            })
+            .collect();
+        let mut poller = Poller::new(4).unwrap();
+        poller.register(waker.fd(), 3, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        for _ in 0..100_000 {
+            events.clear();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            if events.is_empty() {
+                break; // silent although the producers spin: a wake was lost
+            }
+            waker.drain();
+        }
+        stop.store(true, Ordering::Relaxed);
+        for p in producers {
+            p.join().unwrap();
+        }
+        // Settle: consume whatever the producers left pending.
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(0)))
+            .unwrap();
+        if !events.is_empty() {
+            waker.drain();
+        }
+
+        waker.wake();
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(1)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 3 && e.readable),
+            "the final wake was lost: {events:?}"
+        );
     }
 }

@@ -128,7 +128,8 @@ impl Client {
     }
 }
 
-#[cfg(test)]
+// The tests serve over a socket, which needs Linux.
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use crate::engine::{DatasetSpec, Engine};

@@ -1,87 +1,97 @@
-//! The epoll transport: a readiness event loop over [`molq_net`].
+//! The transport: per-thread readiness event loops over [`molq_net`] that
+//! serve requests inline.
 //!
-//! One reactor thread owns the listener, the [`molq_net::Poller`], and
-//! every connection's state machine; a fixed pool of compute workers (same
-//! width as the pool transport's) runs the actual [`Service`] dispatch.
-//! The reactor never blocks on a socket: reads and writes go until
-//! `WouldBlock` and the level-triggered poller re-notifies when the fd is
-//! ready again, so thousands of mostly-idle keep-alive connections cost
-//! one fd and a slab slot each instead of a parked thread.
+//! [`ServerConfig::workers`] event loops each own a [`molq_net::Poller`]
+//! and a slab of connection state machines, and run [`Service::handle`] on
+//! their own thread: one thread reads, handles and writes every request of
+//! a connection, so no request crosses a thread. A loop never blocks on a
+//! socket: reads and writes go until `WouldBlock` and the level-triggered
+//! poller re-notifies when the fd is ready again, so thousands of
+//! mostly-idle keep-alive connections cost one fd and a slab slot each
+//! instead of a parked thread.
+//!
+//! One acceptor thread owns the listener. It hands each new connection to
+//! the loop with the fewest open connections (through the loop's inbox and
+//! [`molq_net::Waker`]), where it stays until it closes. A request runs to
+//! completion on its loop, so a long one (a slow `/solve`, a
+//! `POST /reload?wait=1`) stalls the other connections of that loop until
+//! it returns; the other loops are unaffected.
 //!
 //! Data flow per request:
 //!
 //! 1. readable event → drain the socket into the connection buffer →
-//!    [`crate::proto::try_parse`];
-//! 2. a complete message → a `Job` on the **bounded** job queue (full queue
-//!    → the same `503 server overloaded` push-back the pool transport's
-//!    accept queue gives) → connection goes `Busy`;
-//! 3. a worker dequeues, sheds if the job already waited past the request
-//!    timeout (`503` + `Retry-After`, exactly the pool's dequeue-time
-//!    shedding), otherwise dispatches and renders; the completion bytes go
-//!    on a queue and the [`molq_net::Waker`] nudges the reactor;
-//! 4. the reactor copies the bytes into the connection's write buffer and
-//!    flushes until `WouldBlock`, arming writable interest for the rest.
+//!    `proto::try_parse`;
+//! 2. a complete message → shed it if its event batch is already older than
+//!    the request timeout, else fire the `http.worker` fault point, run
+//!    [`Service::handle`] and render the response;
+//! 3. flush until `WouldBlock`, arming writable interest for the rest, and
+//!    answer the next pipelined request once the response is out.
 //!
-//! Responses are produced by the same [`crate::proto`] renderer the pool
-//! transport uses, so the two transports are byte-compatible, and the
-//! `http.worker` fault point runs in the compute workers under the same
-//! supervisor-respawn scheme. Connections wedged by a lost job (a worker
-//! died mid-request) are reaped by the periodic sweep rather than leaking
-//! their slab slot.
+//! Resilience:
+//!
+//! * **Deadline-aware shedding.** Each event batch is stamped with the
+//!   instant [`Poller::wait`] returned. A request dispatched more than the
+//!   service's request timeout after that instant waited behind its loop's
+//!   earlier work for longer than its evaluation may take: it is answered
+//!   `503` + `Retry-After` (the evaluation would only have timed out) and
+//!   counted as `queue_shed`.
+//! * **Respawn.** The acceptor also supervises: a loop whose thread died
+//!   (the `http.worker` fault point, or a transport bug — handler panics
+//!   are caught per request in the service layer) is joined and replaced by
+//!   a fresh loop on the same inbox and waker. The dead loop's connections
+//!   close with it.
+//! * **Overload.** Once `max_connections` connections are open, the
+//!   acceptor answers new ones `503 server overloaded`.
+//! * **Reaping.** Idle keep-alive connections, slow-loris partial reads
+//!   and stalled writers are closed after the read timeout.
 
-use crate::metrics::{ResilienceMetrics, TransportMetrics};
+use crate::http::{ServerConfig, ServerHandle};
+use crate::metrics::ResilienceMetrics;
 use crate::proto::{self, ParseOutcome};
-use crate::service::{Request, Service};
+use crate::service::Service;
 use molq_net::{Event, Interest, Poller, Waker};
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crate::http::{ServerConfig, ServerHandle};
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 /// Connection tokens are `slot + TOKEN_BASE`.
 const TOKEN_BASE: u64 = 2;
 
-/// Reactor tick: bounds sweep latency and stop-flag observation.
+/// Event-loop tick: bounds sweep latency and stop-flag observation.
 const TICK: Duration = Duration::from_millis(100);
+
+/// Acceptor tick: bounds how long a dead loop waits for its respawn and how
+/// long shutdown waits for the acceptor to notice the stop flag.
+const SUPERVISE_TICK: Duration = Duration::from_millis(10);
+
+/// Readiness events taken per [`Poller::wait`].
+const EVENTS_PER_WAIT: usize = 1024;
 
 /// Per-connection inbound buffer cap: one maximal message plus pipelined
 /// slack. Beyond this the client is flooding and the connection closes.
 const MAX_CONN_BUF: usize = proto::MAX_HEAD + proto::MAX_BODY + 64 * 1024;
 
-/// A parsed request waiting for a compute worker.
-struct Job {
-    slot: usize,
-    generation: u64,
-    request: Request,
-    keep_alive: bool,
-    queued_at: Instant,
-}
-
-/// A rendered response travelling back to the reactor.
-struct Completion {
-    slot: usize,
-    generation: u64,
-    bytes: Vec<u8>,
-    keep_alive: bool,
+/// The part of an event loop that outlives its thread: the acceptor hands
+/// connections in through it, and a respawned loop adopts it.
+struct LoopShared {
+    /// Accepted connections the loop has not registered yet.
+    inbox: Mutex<Vec<TcpStream>>,
+    waker: Waker,
+    /// Connections assigned to the loop and not yet closed, queued in the
+    /// inbox or live in the slab; the acceptor balances on it.
+    load: AtomicUsize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ConnState {
     /// Accumulating bytes towards a complete request.
     Reading,
-    /// A job for this connection is queued or running since the stamped
-    /// instant (which lets the sweep reap connections whose job was lost
-    /// to a dead worker).
-    Busy(Instant),
     /// Flushing the write buffer; then keep the connection or close it.
     Writing {
         /// Return to `Reading` after the flush, or close.
@@ -97,197 +107,205 @@ struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     state: ConnState,
-    /// Stamped at slot allocation; completions carry it so a response for a
-    /// closed-and-reused slot is recognized as stale and dropped.
-    generation: u64,
     last_activity: Instant,
     interest: Interest,
     /// The peer sent EOF; serve what is in flight, then close.
     peer_closed: bool,
 }
 
-/// Starts the epoll transport. Called via [`crate::http::start`] when
-/// [`ServerConfig::transport`] selects [`crate::http::Transport::Epoll`].
+/// Starts the event loops and the acceptor. Called via
+/// [`crate::http::start`].
 pub(crate) fn start(service: Arc<Service>, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind((config.host.as_str(), config.port))?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let poller = Poller::new(EVENTS_PER_WAIT)?;
+    poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let waker = Arc::new(Waker::new()?);
-    service.metrics().transport.kind.store(2, Ordering::Relaxed);
 
-    let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let completions = Arc::new(Mutex::new(VecDeque::<Completion>::new()));
-
-    let supervisor = {
-        let job_rx = Arc::clone(&job_rx);
-        let completions = Arc::clone(&completions);
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        let waker = Arc::clone(&waker);
-        let count = config.workers.max(1);
-        std::thread::spawn(move || {
-            supervise_compute_workers(count, &job_rx, &completions, &service, &stop, &waker)
+    // Every loop is built before any thread spawns, so setup errors surface
+    // here instead of stranding running threads.
+    let loops = (0..config.workers.max(1))
+        .map(|_| {
+            let shared = Arc::new(LoopShared {
+                inbox: Mutex::new(Vec::new()),
+                waker: Waker::new()?,
+                load: AtomicUsize::new(0),
+            });
+            EventLoop::new(shared, Arc::clone(&service), config.read_timeout)
         })
-    };
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let loops = loops
+        .into_iter()
+        .map(|event_loop| LoopSlot {
+            shared: Arc::clone(&event_loop.shared),
+            thread: Some(event_loop.spawn(&stop)),
+        })
+        .collect();
 
-    // Built before the thread spawns so bind/register errors surface here.
-    let mut reactor = Reactor::new(
+    let acceptor = Acceptor {
         listener,
+        poller,
+        loops,
         service,
         config,
-        Arc::clone(&waker),
-        completions,
-        job_tx,
-    )?;
-    let reactor_stop = Arc::clone(&stop);
-    let reactor_thread = std::thread::spawn(move || reactor.run(&reactor_stop));
-
-    let wake_handle = Arc::clone(&waker);
+        stop: Arc::clone(&stop),
+    };
     Ok(ServerHandle {
         addr,
         stop,
-        wake: Some(Box::new(move || wake_handle.wake())),
-        threads: vec![reactor_thread, supervisor],
+        acceptor: std::thread::spawn(move || acceptor.run()),
     })
 }
 
-/// Same supervision scheme as the pool transport: a compute worker that
-/// dies (the `http.worker` fault point, or a transport bug) is joined and
-/// replaced while the server is live.
-fn supervise_compute_workers(
-    count: usize,
-    job_rx: &Arc<Mutex<Receiver<Job>>>,
-    completions: &Arc<Mutex<VecDeque<Completion>>>,
-    service: &Arc<Service>,
-    stop: &AtomicBool,
-    waker: &Arc<Waker>,
-) {
-    let spawn = || {
-        let job_rx = Arc::clone(job_rx);
-        let completions = Arc::clone(completions);
-        let service = Arc::clone(service);
-        let waker = Arc::clone(waker);
-        std::thread::spawn(move || compute_worker(&job_rx, &completions, &service, &waker))
-    };
-    let mut workers: Vec<JoinHandle<()>> = (0..count).map(|_| spawn()).collect();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            for w in workers {
-                let _ = w.join();
-            }
-            return;
-        }
-        for slot in workers.iter_mut() {
-            if slot.is_finished() {
-                let dead = std::mem::replace(slot, spawn());
-                let _ = dead.join();
-                ResilienceMetrics::bump(&service.metrics().resilience.workers_respawned);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+/// One event loop as the acceptor sees it.
+struct LoopSlot {
+    shared: Arc<LoopShared>,
+    /// `None` only after a respawn attempt failed (retried next tick).
+    thread: Option<JoinHandle<()>>,
 }
 
-fn compute_worker(
-    job_rx: &Mutex<Receiver<Job>>,
-    completions: &Mutex<VecDeque<Completion>>,
-    service: &Service,
-    waker: &Waker,
-) {
-    let shed_after = service.config().request_timeout;
-    let transport = &service.metrics().transport;
-    loop {
-        let job = match job_rx.lock().expect("job queue poisoned").recv() {
-            Ok(j) => j,
-            Err(_) => return, // disconnected: shutdown
-        };
-        TransportMetrics::dec(&transport.ready_queue_depth);
-        let (bytes, keep_alive) = if job.queued_at.elapsed() > shed_after {
-            // Deadline-aware shedding, identical to the pool's dequeue path.
-            ResilienceMetrics::bump(&service.metrics().resilience.queue_shed);
-            (proto::shed_response().into_bytes(), false)
-        } else {
-            // Fault point outside the service layer's panic isolation:
-            // arming `http.worker=panic` kills this worker and exercises
-            // respawn (the job's connection is reaped by the sweep).
-            if let Err(e) = crate::fault::fail_point("http.worker") {
-                eprintln!("molq-server: worker fault injected: {e}");
-            }
-            let response = service.handle(&job.request);
-            (
-                proto::render_response(&response, job.keep_alive),
-                job.keep_alive,
-            )
-        };
-        completions
-            .lock()
-            .expect("completion queue poisoned")
-            .push_back(Completion {
-                slot: job.slot,
-                generation: job.generation,
-                bytes,
-                keep_alive,
-            });
-        waker.wake();
-    }
-}
-
-struct Reactor {
+struct Acceptor {
     listener: TcpListener,
+    poller: Poller,
+    loops: Vec<LoopSlot>,
     service: Arc<Service>,
     config: ServerConfig,
+    stop: Arc<AtomicBool>,
+}
+
+impl Acceptor {
+    fn run(mut self) {
+        let mut events: Vec<Event> = Vec::new();
+        while !self.stop.load(Ordering::SeqCst) {
+            events.clear();
+            if let Err(e) = self.poller.wait(&mut events, Some(SUPERVISE_TICK)) {
+                eprintln!("molq-server: acceptor wait failed: {e}");
+                break;
+            }
+            if !events.is_empty() {
+                self.accept_ready();
+            }
+            self.supervise();
+        }
+        // Stop accepting, then let every loop finish its in-flight responses.
+        drop(self.listener);
+        for slot in &self.loops {
+            slot.shared.waker.wake();
+        }
+        for slot in self.loops {
+            if let Some(thread) = slot.thread {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    fn accept_ready(&mut self) {
+        let transport = &self.service.metrics().transport;
+        loop {
+            match self.listener.accept() {
+                Ok((mut stream, _)) => {
+                    ResilienceMetrics::bump(&transport.accepted);
+                    let mut open = 0;
+                    let mut target = &self.loops[0].shared;
+                    for slot in &self.loops {
+                        let load = slot.shared.load.load(Ordering::Relaxed);
+                        open += load;
+                        if load < target.load.load(Ordering::Relaxed) {
+                            target = &slot.shared;
+                        }
+                    }
+                    if open >= self.config.max_connections.max(1) {
+                        ResilienceMetrics::bump(&transport.overload_shed);
+                        let _ = stream.write_all(proto::overload_response().as_bytes());
+                        continue;
+                    }
+                    target.load.fetch_add(1, Ordering::Relaxed);
+                    ResilienceMetrics::bump(&transport.open_connections);
+                    target
+                        .inbox
+                        .lock()
+                        .expect("inbox lock is never held across a panic")
+                        .push(stream);
+                    target.waker.wake();
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Joins and replaces every loop whose thread finished while the server
+    /// is live (a loop only returns on its own after the stop flag is set,
+    /// so a finished live loop died).
+    fn supervise(&mut self) {
+        for slot in &mut self.loops {
+            if !slot.thread.as_ref().map_or(true, JoinHandle::is_finished) {
+                continue;
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                return; // a clean exit at shutdown, not a death
+            }
+            if let Some(dead) = slot.thread.take() {
+                let _ = dead.join(); // reap; the panic payload is dropped
+            }
+            let fresh = EventLoop::new(
+                Arc::clone(&slot.shared),
+                Arc::clone(&self.service),
+                self.config.read_timeout,
+            );
+            match fresh {
+                Ok(event_loop) => {
+                    slot.thread = Some(event_loop.spawn(&self.stop));
+                    ResilienceMetrics::bump(&self.service.metrics().resilience.workers_respawned);
+                }
+                Err(e) => eprintln!("molq-server: event loop respawn failed: {e}"),
+            }
+        }
+    }
+}
+
+struct EventLoop {
+    shared: Arc<LoopShared>,
+    service: Arc<Service>,
+    read_timeout: Duration,
     poller: Poller,
-    waker: Arc<Waker>,
-    completions: Arc<Mutex<VecDeque<Completion>>>,
-    job_tx: SyncSender<Job>,
     slab: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
-    next_generation: u64,
     shutting_down: bool,
     /// Last timeout sweep, so the O(slab) reap runs once per [`TICK`]
-    /// rather than once per event batch (a busy reactor loops far more
-    /// often than it times out).
+    /// rather than once per event batch.
     last_sweep: Instant,
-    /// Parsed jobs waiting for space on the (bounded) worker channel. Each
-    /// live connection contributes at most one job, so this queue is
-    /// bounded by `max_connections` — overload past that is already shed
-    /// at accept. Jobs that out-wait the request timeout are shed by the
-    /// dequeuing worker (`503` + `Retry-After`), so parking here converts
-    /// what would be connection-close churn into observable queueing delay.
-    ready: VecDeque<Job>,
+    /// When the current event batch's wait returned.
+    batch_at: Instant,
 }
 
-impl Reactor {
+impl EventLoop {
     fn new(
-        listener: TcpListener,
+        shared: Arc<LoopShared>,
         service: Arc<Service>,
-        config: ServerConfig,
-        waker: Arc<Waker>,
-        completions: Arc<Mutex<VecDeque<Completion>>>,
-        job_tx: SyncSender<Job>,
-    ) -> std::io::Result<Reactor> {
-        let poller = Poller::new(config.max_connections.clamp(64, 1024))?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        poller.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
-        Ok(Reactor {
-            listener,
+        read_timeout: Duration,
+    ) -> std::io::Result<EventLoop> {
+        let poller = Poller::new(EVENTS_PER_WAIT)?;
+        poller.register(shared.waker.fd(), WAKER_TOKEN, Interest::READ)?;
+        Ok(EventLoop {
+            shared,
             service,
-            config,
+            read_timeout,
             poller,
-            waker,
-            completions,
-            job_tx,
             slab: Vec::new(),
             free: Vec::new(),
             live: 0,
-            next_generation: 0,
             shutting_down: false,
             last_sweep: Instant::now(),
-            ready: VecDeque::new(),
+            batch_at: Instant::now(),
         })
+    }
+
+    fn spawn(mut self, stop: &Arc<AtomicBool>) -> JoinHandle<()> {
+        let stop = Arc::clone(stop);
+        std::thread::spawn(move || self.run(&stop))
     }
 
     fn run(&mut self, stop: &AtomicBool) {
@@ -298,15 +316,16 @@ impl Reactor {
                 eprintln!("molq-server: epoll wait failed: {e}");
                 return;
             }
+            self.batch_at = Instant::now();
             for ev in events.drain(..) {
                 match ev.token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKER_TOKEN => self.waker.drain(),
+                    WAKER_TOKEN => {
+                        self.shared.waker.drain();
+                        self.adopt();
+                    }
                     token => self.conn_ready((token - TOKEN_BASE) as usize, ev),
                 }
             }
-            self.drain_completions();
-            self.pump_ready();
             if self.last_sweep.elapsed() >= TICK {
                 self.sweep();
                 self.last_sweep = Instant::now();
@@ -314,9 +333,9 @@ impl Reactor {
             if stop.load(Ordering::SeqCst) {
                 if !self.shutting_down {
                     self.shutting_down = true;
-                    let _ = self.poller.deregister(self.listener.as_raw_fd());
-                    // Connections with no request in flight close now; Busy
-                    // and Writing ones drain first (graceful, like the pool).
+                    self.adopt();
+                    // Connections with no response pending close now;
+                    // writing ones drain first.
                     for slot in 0..self.slab.len() {
                         let idle = matches!(
                             &self.slab[slot],
@@ -328,74 +347,66 @@ impl Reactor {
                     }
                 }
                 if self.live == 0 {
-                    return; // dropping job_tx disconnects the workers
+                    return;
                 }
             }
         }
     }
 
-    fn accept_ready(&mut self) {
-        if self.shutting_down {
-            return;
-        }
-        loop {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    let transport = &self.service.metrics().transport;
-                    ResilienceMetrics::bump(&transport.accepted);
-                    if self.live >= self.config.max_connections.max(1) {
-                        ResilienceMetrics::bump(&transport.overload_shed);
-                        let _ = stream.write_all(proto::overload_response().as_bytes());
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    let fd = stream.as_raw_fd();
-                    let slot = self.alloc_slot();
-                    self.next_generation += 1;
-                    self.slab[slot] = Some(Conn {
-                        stream,
-                        buf: Vec::new(),
-                        out: Vec::new(),
-                        out_pos: 0,
-                        state: ConnState::Reading,
-                        generation: self.next_generation,
-                        last_activity: Instant::now(),
-                        interest: Interest::READ,
-                        peer_closed: false,
-                    });
-                    if self
-                        .poller
-                        .register(fd, TOKEN_BASE + slot as u64, Interest::READ)
-                        .is_err()
-                    {
-                        self.slab[slot] = None;
-                        self.free.push(slot);
-                        continue;
-                    }
-                    self.live += 1;
-                    ResilienceMetrics::bump(&self.service.metrics().transport.open_connections);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(_) => return,
+    /// Registers the connections the acceptor queued for this loop (or,
+    /// while shutting down, closes them).
+    fn adopt(&mut self) {
+        let streams = std::mem::take(
+            &mut *self
+                .shared
+                .inbox
+                .lock()
+                .expect("inbox lock is never held across a panic"),
+        );
+        for stream in streams {
+            if self.shutting_down || !self.register(stream) {
+                self.release(1);
             }
         }
     }
 
-    fn alloc_slot(&mut self) -> usize {
-        match self.free.pop() {
+    fn register(&mut self, stream: TcpStream) -> bool {
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            return false;
+        }
+        let fd = stream.as_raw_fd();
+        let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
                 self.slab.push(None);
                 self.slab.len() - 1
             }
+        };
+        if self
+            .poller
+            .register(fd, TOKEN_BASE + slot as u64, Interest::READ)
+            .is_err()
+        {
+            self.free.push(slot);
+            return false;
         }
+        self.slab[slot] = Some(Conn {
+            stream,
+            buf: Vec::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            state: ConnState::Reading,
+            last_activity: Instant::now(),
+            interest: Interest::READ,
+            peer_closed: false,
+        });
+        self.live += 1;
+        true
     }
 
     fn conn_ready(&mut self, slot: usize, ev: Event) {
         if self.slab.get(slot).and_then(Option::as_ref).is_none() {
-            return; // already closed earlier this tick
+            return; // already closed earlier this batch
         }
         if ev.hangup {
             self.close(slot);
@@ -405,7 +416,7 @@ impl Reactor {
             if !self.read_ready(slot) {
                 return; // connection closed during the read
             }
-            self.try_dispatch(slot);
+            self.serve(slot);
             // A vanished client with no complete message buffered has
             // nothing left to answer: close.
             let vanished = matches!(
@@ -417,8 +428,8 @@ impl Reactor {
                 return;
             }
         }
-        if ev.writable {
-            self.flush(slot);
+        if ev.writable && self.flush(slot) {
+            self.serve(slot);
         }
     }
 
@@ -465,120 +476,64 @@ impl Reactor {
         }
     }
 
-    /// Parses and dispatches at most one request (responses must be written
-    /// in order, so a connection runs one job at a time; further pipelined
-    /// requests stay buffered until the response flushes).
-    fn try_dispatch(&mut self, slot: usize) {
+    /// Answers buffered requests in order until none is complete or a
+    /// response waits on a full socket (responses must go out in order, so
+    /// a connection has at most one pending).
+    fn serve(&mut self, slot: usize) {
+        while self.dispatch(slot) && self.flush(slot) {}
+    }
+
+    /// Parses one buffered request and puts its response in the write
+    /// buffer. Returns `false` when there was nothing to answer.
+    fn dispatch(&mut self, slot: usize) -> bool {
         let Some(conn) = self.slab.get_mut(slot).and_then(Option::as_mut) else {
-            return;
+            return false;
         };
         if conn.state != ConnState::Reading {
-            return;
+            return false;
         }
         let (request, consumed) = match proto::try_parse(&conn.buf) {
-            ParseOutcome::Incomplete => return,
+            ParseOutcome::Incomplete => return false,
             ParseOutcome::Ready { request, consumed } => (request, consumed),
         };
         conn.buf.drain(..consumed);
-        match request.parsed {
-            Err(e) => {
-                // Protocol rejection: answered by the reactor, no worker.
-                let bytes = proto::render_response(&e.to_response(), false);
-                self.queue_out(slot, bytes, false);
+        let (bytes, keep_alive) = match request.parsed {
+            // Protocol rejection: answered without touching the service.
+            Err(e) => (proto::render_response(&e.to_response(), false), false),
+            Ok(_) if self.batch_at.elapsed() > self.service.config().request_timeout => {
+                ResilienceMetrics::bump(&self.service.metrics().resilience.queue_shed);
+                (proto::shed_response().into_bytes(), false)
             }
             Ok(api_request) => {
-                let job = Job {
-                    slot,
-                    generation: conn.generation,
-                    request: api_request,
-                    keep_alive: request.keep_alive,
-                    queued_at: Instant::now(),
-                };
-                conn.state = ConnState::Busy(Instant::now());
-                ResilienceMetrics::bump(&self.service.metrics().transport.ready_queue_depth);
-                match self.job_tx.try_send(job) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(job)) => {
-                        // Worker channel full: park the job on the reactor's
-                        // ready queue instead of shedding — a momentarily
-                        // saturated pool is queueing delay, not overload
-                        // (jobs that wait past the request timeout still get
-                        // the worker-side shed `503`).
-                        self.ready.push_back(job);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        TransportMetrics::dec(&self.service.metrics().transport.ready_queue_depth);
-                        let bytes = proto::overload_response().into_bytes();
-                        self.queue_out(slot, bytes, false);
-                    }
+                // Fault point outside the service layer's panic isolation:
+                // arming `http.worker=panic` kills this loop and exercises
+                // respawn.
+                if let Err(e) = crate::fault::fail_point("http.worker") {
+                    eprintln!("molq-server: worker fault injected: {e}");
                 }
+                let response = self.service.handle(&api_request);
+                (
+                    proto::render_response(&response, request.keep_alive),
+                    request.keep_alive,
+                )
             }
-        }
-    }
-
-    /// Moves parked jobs onto the worker channel as capacity frees up
-    /// (workers wake the reactor per completion, so this runs at least once
-    /// per finished request). Jobs whose connection died in the meantime
-    /// are dropped here.
-    fn pump_ready(&mut self) {
-        while let Some(job) = self.ready.pop_front() {
-            let stale = !matches!(
-                self.slab.get(job.slot).and_then(Option::as_ref),
-                Some(conn) if conn.generation == job.generation
-            );
-            if stale {
-                TransportMetrics::dec(&self.service.metrics().transport.ready_queue_depth);
-                continue;
-            }
-            match self.job_tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(job)) => {
-                    self.ready.push_front(job);
-                    return;
-                }
-                Err(TrySendError::Disconnected(job)) => {
-                    TransportMetrics::dec(&self.service.metrics().transport.ready_queue_depth);
-                    let bytes = proto::overload_response().into_bytes();
-                    self.queue_out(job.slot, bytes, false);
-                }
-            }
-        }
-    }
-
-    fn drain_completions(&mut self) {
-        loop {
-            let completion = self
-                .completions
-                .lock()
-                .expect("completion queue poisoned")
-                .pop_front();
-            let Some(c) = completion else { return };
-            let stale = !matches!(
-                self.slab.get(c.slot).and_then(Option::as_ref),
-                Some(conn) if conn.generation == c.generation
-            );
-            if stale {
-                continue; // connection closed (or slot reused) while the job ran
-            }
-            self.queue_out(c.slot, c.bytes, c.keep_alive);
-        }
-    }
-
-    fn queue_out(&mut self, slot: usize, bytes: Vec<u8>, keep_alive: bool) {
+        };
         let Some(conn) = self.slab.get_mut(slot).and_then(Option::as_mut) else {
-            return;
+            return false;
         };
         conn.out = bytes;
         conn.out_pos = 0;
         conn.state = ConnState::Writing { keep_alive };
         conn.last_activity = Instant::now();
-        self.flush(slot);
+        true
     }
 
-    fn flush(&mut self, slot: usize) {
+    /// Writes the pending response until done or `WouldBlock`. Returns
+    /// `true` when it is fully written and the connection reads on.
+    fn flush(&mut self, slot: usize) -> bool {
         loop {
             let Some(conn) = self.slab.get_mut(slot).and_then(Option::as_mut) else {
-                return;
+                return false;
             };
             if conn.out_pos >= conn.out.len() {
                 break;
@@ -586,7 +541,7 @@ impl Reactor {
             match conn.stream.write(&conn.out[conn.out_pos..]) {
                 Ok(0) => {
                     self.close(slot);
-                    return;
+                    return false;
                 }
                 Ok(n) => {
                     conn.out_pos += n;
@@ -599,33 +554,32 @@ impl Reactor {
                         writable: true,
                     };
                     self.set_interest(slot, interest);
-                    return;
+                    return false;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(slot);
-                    return;
+                    return false;
                 }
             }
         }
         // Fully flushed.
         let Some(conn) = self.slab.get_mut(slot).and_then(Option::as_mut) else {
-            return;
+            return false;
         };
         conn.out.clear();
         conn.out_pos = 0;
         let ConnState::Writing { keep_alive } = conn.state else {
-            return; // nothing was pending
+            return true; // nothing was pending
         };
         if !keep_alive || conn.peer_closed || self.shutting_down {
             self.close(slot);
-            return;
+            return false;
         }
         conn.state = ConnState::Reading;
         conn.last_activity = Instant::now();
         self.set_interest(slot, Interest::READ);
-        // A pipelined request may already be buffered.
-        self.try_dispatch(slot);
+        true
     }
 
     fn set_interest(&mut self, slot: usize, interest: Interest) {
@@ -635,33 +589,25 @@ impl Reactor {
         if conn.interest == interest {
             return;
         }
-        let fd = conn.stream.as_raw_fd();
         if self
             .poller
-            .rearm(fd, TOKEN_BASE + slot as u64, interest)
+            .rearm(conn.stream.as_raw_fd(), TOKEN_BASE + slot as u64, interest)
             .is_ok()
         {
-            if let Some(conn) = self.slab.get_mut(slot).and_then(Option::as_mut) {
-                conn.interest = interest;
-            }
+            conn.interest = interest;
         }
     }
 
-    /// Periodic reaping: idle keep-alive connections and slow-loris partial
-    /// reads past the read timeout, stalled writers, and connections whose
-    /// job was lost to a dead worker.
+    /// Periodic reaping: idle keep-alive connections, slow-loris partial
+    /// reads and stalled writers with no progress for the read timeout.
+    /// Idleness is measured up to the batch instant, not now: bytes that
+    /// arrived while this loop was busy serving are not yet read.
     fn sweep(&mut self) {
-        let read_timeout = self.config.read_timeout;
-        let lost_job_after = self.service.config().request_timeout + read_timeout;
         for slot in 0..self.slab.len() {
-            let Some(conn) = self.slab[slot].as_ref() else {
-                continue;
-            };
-            let expired = match conn.state {
-                ConnState::Reading => conn.last_activity.elapsed() > read_timeout,
-                ConnState::Writing { .. } => conn.last_activity.elapsed() > read_timeout,
-                ConnState::Busy(since) => since.elapsed() > lost_job_after,
-            };
+            let expired = matches!(
+                &self.slab[slot],
+                Some(c) if self.batch_at.saturating_duration_since(c.last_activity) > self.read_timeout
+            );
             if expired {
                 self.close(slot);
             }
@@ -676,21 +622,36 @@ impl Reactor {
         drop(conn);
         self.free.push(slot);
         self.live -= 1;
-        TransportMetrics::dec(&self.service.metrics().transport.open_connections);
+        self.release(1);
+    }
+
+    /// Takes `n` closed connections off the loop's load and the
+    /// open-connection gauge.
+    fn release(&self, n: usize) {
+        self.shared.load.fetch_sub(n, Ordering::Relaxed);
+        let open = &self.service.metrics().transport.open_connections;
+        open.fetch_sub(n as u64, Ordering::Relaxed);
+    }
+}
+
+impl Drop for EventLoop {
+    /// A loop that dies closes its live connections as the slab drops;
+    /// release them so the gauges stay exact. (A loop that returned has
+    /// none.) Connections still in the inbox stay counted: the respawned
+    /// loop adopts them.
+    fn drop(&mut self) {
+        self.release(self.live);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::Transport;
     use std::net::SocketAddr;
 
-    fn epoll_server() -> (crate::http::ServerHandle, SocketAddr) {
-        let service = Arc::new(Service::new(crate::engine::Engine::new()));
+    fn server(workers: usize, service: Arc<Service>) -> (ServerHandle, SocketAddr) {
         let config = ServerConfig {
-            workers: 2,
-            transport: Transport::Epoll,
+            workers,
             read_timeout: Duration::from_millis(500),
             ..ServerConfig::default()
         };
@@ -699,6 +660,12 @@ mod tests {
         (handle, addr)
     }
 
+    fn empty_service() -> Arc<Service> {
+        Arc::new(Service::new(crate::engine::Engine::new()))
+    }
+
+    /// Writes raw bytes, half-closes, and returns everything the server
+    /// sends back (empty if it just closes).
     fn send_and_read(addr: SocketAddr, payload: &[u8]) -> String {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -711,7 +678,7 @@ mod tests {
 
     #[test]
     fn serves_requests_and_shuts_down_cleanly() {
-        let (handle, addr) = epoll_server();
+        let (handle, addr) = server(2, empty_service());
         let resp = send_and_read(addr, b"GET /health HTTP/1.1\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp:?}");
         handle.shutdown();
@@ -719,7 +686,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_sequential_requests_on_one_connection() {
-        let (handle, addr) = epoll_server();
+        let (handle, addr) = server(2, empty_service());
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         for _ in 0..3 {
@@ -734,14 +701,44 @@ mod tests {
     }
 
     #[test]
-    fn malformed_input_is_rejected_without_wedging() {
-        let (handle, addr) = epoll_server();
+    fn malformed_requests_get_4xx_and_never_wedge_the_loop() {
+        // One loop on purpose: if any malformed request panicked or hung
+        // it, every later assertion in this test would fail.
+        let (handle, addr) = server(1, empty_service());
+
+        // Oversized head: rejected before buffering unbounded data.
+        let mut huge = b"GET /health HTTP/1.1\r\nX-Filler: ".to_vec();
+        huge.resize(20 * 1024, b'a');
+        let resp = send_and_read(addr, &huge);
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
+
+        // Unparseable Content-Length: 400, not a silent zero (which would
+        // misparse the body as the next pipelined request).
         let resp = send_and_read(
             addr,
             b"POST /reload HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
         );
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
-        // The reactor survived and still serves.
+
+        // Declared body over the cap: 413 without reading it.
+        let resp = send_and_read(
+            addr,
+            b"POST /reload HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+        );
+        assert!(resp.starts_with("HTTP/1.1 413"), "{resp:?}");
+
+        // Client hangs up mid-body: clean close, no response.
+        let resp = send_and_read(
+            addr,
+            b"POST /reload HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort",
+        );
+        assert_eq!(resp, "");
+
+        // Non-UTF-8 head: 400.
+        let resp = send_and_read(addr, b"GET /\xff\xfe HTTP/1.1\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
+
+        // The lone loop survived all of the above and still answers.
         let resp = send_and_read(addr, b"GET /health HTTP/1.1\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp:?}");
         handle.shutdown();
@@ -749,9 +746,9 @@ mod tests {
 
     #[test]
     fn many_idle_connections_coexist_with_service() {
-        let (handle, addr) = epoll_server();
-        // Far more connections than compute workers: a blocking transport
-        // with 2 workers would strand most of these.
+        let (handle, addr) = server(2, empty_service());
+        // Far more connections than loops: a thread-per-connection server
+        // with 2 threads would strand most of these.
         let mut conns: Vec<TcpStream> =
             (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
         for s in conns.iter_mut() {
@@ -763,6 +760,32 @@ mod tests {
             let n = s.read(&mut buf).unwrap();
             let text = String::from_utf8_lossy(&buf[..n]);
             assert!(text.starts_with("HTTP/1.1 200"), "{text:?}");
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn open_connections_gauge_tracks_accepts_and_closes() {
+        let service = empty_service();
+        let (handle, addr) = server(2, Arc::clone(&service));
+        let open = || ResilienceMetrics::get(&service.metrics().transport.open_connections);
+        let mut conns: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        for s in conns.iter_mut() {
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"GET /health HTTP/1.1\r\n\r\n").unwrap();
+            let mut buf = [0u8; 4096];
+            assert!(s.read(&mut buf).unwrap() > 0);
+        }
+        assert_eq!(open(), 4);
+        drop(conns);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while open() != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "open_connections stuck at {}",
+                open()
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
         handle.shutdown();
     }

@@ -24,7 +24,7 @@
 //! |------------------------|----------------------------------------------------------|
 //! | `service.handle`       | fires inside the request handler (panics are caught → 500) |
 //! | `service.slow`         | `sleep:MS` throttles every cancellation checkpoint of one request |
-//! | `http.worker`          | fires in the connection loop *outside* panic isolation (kills the worker → pool respawn) |
+//! | `http.worker`          | fires in an event loop before each dispatch, *outside* panic isolation (kills the loop → the supervisor respawns it) |
 //! | `engine.rebuild`       | fails a dataset rebuild (feeds the circuit breaker)      |
 //! | `engine.snapshot_read` | makes a snapshot restore behave as corrupt (falls back to CSV rebuild) |
 //! | `engine.apply_update`  | rejects a live insert/delete before it touches the journal (counted as `rejected`) |

@@ -1,86 +1,40 @@
-//! The HTTP/1.1 transports: dependency-free servers on `std::net`.
+//! The HTTP/1.1 transport: a dependency-free server on `std::net` and
+//! [`molq_net`] (Linux only).
 //!
-//! Two interchangeable transports serve the same [`Service`] dispatch and
-//! speak the same wire protocol (shared in [`crate::proto`]):
+//! [`ServerConfig::workers`] readiness event loops ([`crate::epoll`]) each
+//! own their connections and run the [`Service`] dispatch inline, one
+//! acceptor thread balances new connections across them, and all of them
+//! speak the wire protocol of the private `proto` module.
 //!
-//! * **Pool** (this module): one accept thread in a non-blocking poll loop
-//!   (so it can observe the shutdown flag), a **bounded** `sync_channel` of
-//!   accepted connections, and a fixed pool of worker threads each running
-//!   a keep-alive connection loop with a per-connection read timeout. When
-//!   the queue is full the accept thread answers `503` immediately instead
-//!   of building an invisible backlog — a closed-loop load generator then
-//!   sees the push-back as latency, an open-loop one as errors.
-//! * **Epoll** ([`crate::epoll`], Linux only): a readiness event loop over
-//!   [`molq_net`] that multiplexes thousands of connections onto one
-//!   reactor thread plus the same fixed pool of compute workers. Selected
-//!   with [`ServerConfig::transport`], the `--transport` CLI flag, or the
-//!   `MOLQ_TRANSPORT` environment variable.
+//! [`ServerHandle::shutdown`] flips the flag and joins the acceptor, which
+//! joins the loops once they have flushed their in-flight responses:
+//! graceful by construction, no connection is abandoned mid-response.
 //!
-//! [`ServerHandle::shutdown`] flips the flag, wakes the transport, and
-//! joins its threads: graceful by construction, no connection is abandoned
-//! mid-response.
+//! Resilience at this layer:
 //!
-//! Resilience at this layer (both transports):
-//!
-//! * **Deadline-aware shedding.** Queued work is stamped on arrival; a
-//!   worker that dequeues something already older than the service's
-//!   request timeout answers `503` + `Retry-After` immediately (the
-//!   evaluation would only have timed out anyway) and moves on.
-//! * **Worker respawn.** The pool runs under a supervisor thread that joins
-//!   and replaces any worker that dies — handler panics are already caught
-//!   per-request in the service layer, so a dead worker means a panic in the
-//!   transport itself (or the `http.worker` fault point).
+//! * **Deadline-aware shedding.** A request that waited behind its loop's
+//!   earlier work for longer than the service's request timeout is answered
+//!   `503` + `Retry-After` immediately (the evaluation would only have timed
+//!   out anyway).
+//! * **Loop respawn.** The acceptor supervises the loops and replaces any
+//!   that dies — handler panics are already caught per request in the
+//!   service layer, so a dead loop means a panic in the transport itself
+//!   (or the `http.worker` fault point).
+//! * **Overload.** Beyond [`ServerConfig::max_connections`] open
+//!   connections, new ones are answered `503` at once.
 //! * **Malformed input.** Oversized heads, unparseable or oversized
 //!   `Content-Length`, and clients that vanish mid-body all end in a `4xx`
-//!   or a clean close — never a panic, never a wedged worker.
+//!   or a clean close — never a panic, never a wedged loop.
+//!
+//! On other platforms [`start`] returns an [`std::io::ErrorKind::Unsupported`]
+//! error; the rest of the crate still builds.
 
-use crate::metrics::{ResilienceMetrics, TransportMetrics};
-use crate::proto::{self, ParseOutcome};
 use crate::service::Service;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Which socket layer carries requests to the service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Thread-per-connection worker pool (portable; the default).
-    #[default]
-    Pool,
-    /// Readiness event loop on `epoll` (Linux only).
-    Epoll,
-}
-
-impl Transport {
-    /// Parses `"pool"` / `"epoll"`.
-    pub fn parse(s: &str) -> Option<Transport> {
-        match s {
-            "pool" => Some(Transport::Pool),
-            "epoll" => Some(Transport::Epoll),
-            _ => None,
-        }
-    }
-
-    /// Reads the `MOLQ_TRANSPORT` environment variable, so the full test
-    /// suite can run under either transport without editing call sites.
-    pub fn from_env() -> Option<Transport> {
-        std::env::var("MOLQ_TRANSPORT")
-            .ok()
-            .and_then(|v| Transport::parse(v.trim()))
-    }
-
-    /// The transport's display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Transport::Pool => "pool",
-            Transport::Epoll => "epoll",
-        }
-    }
-}
+use std::time::Duration;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -89,19 +43,14 @@ pub struct ServerConfig {
     pub host: String,
     /// Bind port; `0` picks an ephemeral port (see [`ServerHandle::addr`]).
     pub port: u16,
-    /// Worker threads handling connections (pool) or compute jobs (epoll).
+    /// Event loops, each serving its connections' requests on its own
+    /// thread.
     pub workers: usize,
-    /// Accepted connections (pool) / parsed requests (epoll) waiting for a
-    /// worker before `503` push-back.
-    pub queue_depth: usize,
-    /// Per-connection read timeout (also bounds keep-alive idle time).
+    /// Idle and stalled-connection timeout (also bounds keep-alive idle
+    /// time).
     pub read_timeout: Duration,
-    /// Which socket layer to run. Defaults to [`Transport::Pool`] unless
-    /// the `MOLQ_TRANSPORT` environment variable overrides it.
-    pub transport: Transport,
-    /// Open-connection cap for the epoll transport (beyond it, new
-    /// connections get the overload `503`). The pool transport's cap is
-    /// implicit: `workers + queue_depth`.
+    /// Open-connection cap; beyond it new connections get the overload
+    /// `503`.
     pub max_connections: usize,
 }
 
@@ -111,9 +60,7 @@ impl Default for ServerConfig {
             host: "127.0.0.1".into(),
             port: 0,
             workers: 4,
-            queue_depth: 64,
             read_timeout: Duration::from_secs(5),
-            transport: Transport::from_env().unwrap_or_default(),
             max_connections: 4096,
         }
     }
@@ -124,12 +71,8 @@ impl Default for ServerConfig {
 pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) stop: Arc<AtomicBool>,
-    /// Transport-specific nudge that interrupts a blocked wait so the stop
-    /// flag is observed promptly (the epoll loop's waker; `None` for the
-    /// pool, whose accept loop polls).
-    pub(crate) wake: Option<Box<dyn Fn() + Send>>,
-    /// Every thread the transport owns, joined on shutdown.
-    pub(crate) threads: Vec<JoinHandle<()>>,
+    /// The acceptor thread; it joins the event loops on its way out.
+    pub(crate) acceptor: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -138,297 +81,24 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting, drains queued work, joins all transport threads.
-    pub fn shutdown(mut self) {
+    /// Stops accepting, lets in-flight responses flush, joins all transport
+    /// threads.
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(wake) = self.wake.take() {
-            wake();
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        let _ = self.acceptor.join();
     }
 }
 
-/// A connection waiting for a worker, stamped so staleness is observable
-/// at dequeue.
-struct QueuedConn {
-    stream: TcpStream,
-    accepted_at: Instant,
-}
-
-/// Binds and starts serving `service` on the configured transport; returns
-/// once the listener is live.
+/// Binds and starts serving `service`; returns once the listener is live.
 pub fn start(service: Arc<Service>, config: ServerConfig) -> std::io::Result<ServerHandle> {
-    match config.transport {
-        Transport::Pool => start_pool(service, config),
-        #[cfg(target_os = "linux")]
-        Transport::Epoll => crate::epoll::start(service, config),
-        #[cfg(not(target_os = "linux"))]
-        Transport::Epoll => Err(std::io::Error::new(
-            ErrorKind::Unsupported,
-            "the epoll transport requires Linux; use --transport pool",
-        )),
-    }
-}
-
-/// The thread-per-connection pool transport.
-fn start_pool(service: Arc<Service>, config: ServerConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    service.metrics().transport.kind.store(1, Ordering::Relaxed);
-
-    let (tx, rx) = mpsc::sync_channel::<QueuedConn>(config.queue_depth.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-    let supervisor = {
-        let rx = Arc::clone(&rx);
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        let count = config.workers.max(1);
-        let read_timeout = config.read_timeout;
-        std::thread::spawn(move || supervise_workers(count, &rx, &service, &stop, read_timeout))
-    };
-
-    let accept_stop = Arc::clone(&stop);
-    let accept_thread =
-        std::thread::spawn(move || accept_loop(&listener, &tx, &service, &accept_stop));
-
-    Ok(ServerHandle {
-        addr,
-        stop,
-        wake: None,
-        threads: vec![accept_thread, supervisor],
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &SyncSender<QueuedConn>,
-    service: &Service,
-    stop: &AtomicBool,
-) {
-    let transport = &service.metrics().transport;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                ResilienceMetrics::bump(&transport.accepted);
-                let conn = QueuedConn {
-                    stream,
-                    accepted_at: Instant::now(),
-                };
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut conn)) => {
-                        ResilienceMetrics::bump(&transport.overload_shed);
-                        let _ = conn.stream.write_all(proto::overload_response().as_bytes());
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Dropping `tx` (by returning) disconnects the channel; workers drain
-    // the queue and then exit.
-}
-
-/// Runs the worker pool under supervision: any worker whose thread finishes
-/// while the server is live (i.e. it died — normal exit only happens at
-/// shutdown, after the stop flag is set) is joined and replaced, so the pool
-/// never stays below capacity.
-fn supervise_workers(
-    count: usize,
-    rx: &Arc<Mutex<Receiver<QueuedConn>>>,
-    service: &Arc<Service>,
-    stop: &AtomicBool,
-    read_timeout: Duration,
-) {
-    let spawn = || {
-        let rx = Arc::clone(rx);
-        let service = Arc::clone(service);
-        std::thread::spawn(move || worker_loop(&rx, &service, read_timeout))
-    };
-    let mut workers: Vec<JoinHandle<()>> = (0..count).map(|_| spawn()).collect();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            // Shutdown: workers exit once the queue disconnects and drains.
-            for w in workers {
-                let _ = w.join();
-            }
-            return;
-        }
-        for slot in workers.iter_mut() {
-            if slot.is_finished() {
-                let dead = std::mem::replace(slot, spawn());
-                let _ = dead.join(); // reap; the panic payload is dropped
-                ResilienceMetrics::bump(&service.metrics().resilience.workers_respawned);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<QueuedConn>>, service: &Service, read_timeout: Duration) {
-    let shed_after = service.config().request_timeout;
-    loop {
-        // Hold the lock only for the receive, not while serving.
-        let conn = match rx.lock().expect("worker queue poisoned").recv() {
-            Ok(c) => c,
-            Err(_) => return, // channel disconnected: shutdown
-        };
-        // Deadline-aware shedding: a connection that queued longer than the
-        // request timeout would only time out downstream — fail it fast and
-        // tell the client when to come back.
-        if conn.accepted_at.elapsed() > shed_after {
-            ResilienceMetrics::bump(&service.metrics().resilience.queue_shed);
-            let mut stream = conn.stream;
-            let _ = stream.write_all(proto::shed_response().as_bytes());
-            continue;
-        }
-        // Fault point *outside* the service layer's panic isolation: arming
-        // `http.worker=panic` kills this worker and exercises pool respawn.
-        if let Err(e) = crate::fault::fail_point("http.worker") {
-            eprintln!("molq-server: worker fault injected: {e}");
-        }
-        let _ = serve_connection(conn.stream, service, read_timeout);
-    }
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    service: &Service,
-    read_timeout: Duration,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.set_nodelay(true)?;
-    let transport = &service.metrics().transport;
-    ResilienceMetrics::bump(&transport.open_connections);
-    let result = serve_parsed(&mut stream, service);
-    TransportMetrics::dec(&transport.open_connections);
-    result
-}
-
-/// The keep-alive request loop over the shared incremental parser. The
-/// buffer persists across requests, so pipelined messages left after one
-/// response are answered on the next iteration instead of being dropped.
-fn serve_parsed(stream: &mut TcpStream, service: &Service) -> std::io::Result<()> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        let (request, consumed) = loop {
-            match proto::try_parse(&buf) {
-                ParseOutcome::Ready { request, consumed } => break (request, consumed),
-                ParseOutcome::Incomplete => {}
-            }
-            let n = match stream.read(&mut chunk) {
-                // EOF: a clean close between messages, or a client that
-                // promised more bytes and hung up — either way there is no
-                // request to answer and no stream position to recover.
-                Ok(0) => return Ok(()),
-                Ok(n) => n,
-                Err(e)
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-                        && buf.is_empty() =>
-                {
-                    return Ok(()); // idle keep-alive connection timed out
-                }
-                Err(e) => return Err(e),
-            };
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        buf.drain(..consumed);
-        let keep_alive = request.keep_alive;
-        let response = match request.parsed {
-            Ok(api_request) => service.handle(&api_request),
-            Err(e) => e.to_response(),
-        };
-        stream.write_all(&proto::render_response(&response, keep_alive))?;
-        stream.flush()?;
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Writes raw bytes, half-closes, and returns everything the server
-    /// sends back (empty if it just closes).
-    fn raw_roundtrip(addr: SocketAddr, payload: &[u8]) -> String {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        s.write_all(payload).unwrap();
-        let _ = s.shutdown(std::net::Shutdown::Write);
-        let mut out = String::new();
-        let _ = s.read_to_string(&mut out);
-        out
-    }
-
-    #[test]
-    fn malformed_requests_get_4xx_and_never_wedge_the_worker() {
-        // One worker on purpose: if any malformed request panicked or hung
-        // it, every later assertion in this test would fail.
-        let service = Arc::new(Service::new(crate::engine::Engine::new()));
-        let config = ServerConfig {
-            workers: 1,
-            transport: Transport::Pool,
-            ..ServerConfig::default()
-        };
-        let handle = start(service, config).unwrap();
-        let addr = handle.addr();
-
-        // Oversized head: rejected before buffering unbounded data.
-        let mut huge = b"GET /health HTTP/1.1\r\nX-Filler: ".to_vec();
-        huge.resize(20 * 1024, b'a');
-        let resp = raw_roundtrip(addr, &huge);
-        assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
-
-        // Unparseable Content-Length: 400, not a silent zero (which would
-        // misparse the body as the next pipelined request).
-        let resp = raw_roundtrip(
-            addr,
-            b"POST /reload HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
-        );
-        assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
-
-        // Declared body over the cap: 413 without reading it.
-        let resp = raw_roundtrip(
-            addr,
-            b"POST /reload HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
-        );
-        assert!(resp.starts_with("HTTP/1.1 413"), "{resp:?}");
-
-        // Client hangs up mid-body: clean close, no response.
-        let resp = raw_roundtrip(
-            addr,
-            b"POST /reload HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort",
-        );
-        assert_eq!(resp, "");
-
-        // Non-UTF-8 head: 400.
-        let resp = raw_roundtrip(addr, b"GET /\xff\xfe HTTP/1.1\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
-
-        // The lone worker survived all of the above and still answers.
-        let resp = raw_roundtrip(addr, b"GET /health HTTP/1.1\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 200"), "{resp:?}");
-        handle.shutdown();
-    }
-
-    #[test]
-    fn transport_parses_names_and_defaults_to_pool() {
-        assert_eq!(Transport::parse("pool"), Some(Transport::Pool));
-        assert_eq!(Transport::parse("epoll"), Some(Transport::Epoll));
-        assert_eq!(Transport::parse("iocp"), None);
-        assert_eq!(Transport::Pool.name(), "pool");
-        assert_eq!(Transport::Epoll.name(), "epoll");
-        assert_eq!(Transport::default(), Transport::Pool);
+    #[cfg(target_os = "linux")]
+    return crate::epoll::start(service, config);
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (service, config);
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "serving requires Linux (the transport runs on epoll)",
+        ))
     }
 }

@@ -19,19 +19,17 @@
 //!   `locate` keyed on quantized coordinates, and lock-free per-endpoint
 //!   metrics ([`metrics`]). Named datasets can be spread over engine
 //!   replicas with deterministic rendezvous routing ([`shard`]).
-//! * **transport** ([`http`]): two interchangeable dependency-free HTTP/1.1
-//!   servers on `std::net` speaking the hand-rolled JSON of [`json`] — the
-//!   default blocking worker pool (bounded accept queue with `503`
-//!   push-back, per-connection read timeouts), and a readiness event loop
-//!   ([`epoll`], Linux only; selected via [`http::Transport`], `--transport`
-//!   or `MOLQ_TRANSPORT`) that multiplexes thousands of connections onto
-//!   one reactor plus the same compute pool. Both shed, time out, and shut
-//!   down gracefully with identical semantics. A matching minimal client
-//!   lives in [`client`] for tests and the load generator.
+//! * **transport** ([`http`]): a dependency-free HTTP/1.1 server on
+//!   `std::net` speaking the hand-rolled JSON of [`json`] — `workers`
+//!   readiness event loops ([`epoll`], Linux only) that each own their
+//!   connections and serve requests inline, fed by one acceptor that
+//!   balances connections across them. It sheds, times out, respawns dead
+//!   loops, and shuts down gracefully. A matching minimal client lives in
+//!   [`client`] for tests and the load generator.
 //!
 //! A cross-cutting **resilience** layer hardens all three: per-request
 //! deadlines with cooperative cancellation (`504` with partial progress),
-//! panic isolation around request handling plus worker respawn, deadline-aware
+//! panic isolation around request handling plus event-loop respawn, deadline-aware
 //! load shedding (`503` + `Retry-After`), a per-dataset rebuild circuit
 //! breaker in [`engine`], and a runtime-armed fault-injection harness
 //! ([`fault`]) that makes every one of those claims testable.
@@ -65,7 +63,7 @@ pub use client::{Client, ClientResponse};
 pub use engine::{
     BreakerConfig, DatasetSpec, DurabilityReport, Engine, ReloadError, Snapshot, UpdateError,
 };
-pub use http::{start, ServerConfig, ServerHandle, Transport};
+pub use http::{start, ServerConfig, ServerHandle};
 pub use json::Json;
 pub use service::{ApiResponse, Request, Service, ServiceConfig};
 pub use shard::ShardedEngine;

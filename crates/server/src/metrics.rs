@@ -82,13 +82,14 @@ impl EndpointMetrics {
 #[derive(Debug, Default)]
 pub struct ResilienceMetrics {
     /// Handler panics caught by the request-level `catch_unwind` (each one
-    /// answered `500` instead of killing a worker).
+    /// answered `500` instead of killing an event loop).
     pub panics_caught: AtomicU64,
-    /// Worker threads that died anyway and were respawned by the pool
+    /// Event loops that died anyway and were respawned by the acceptor's
     /// supervisor.
     pub workers_respawned: AtomicU64,
-    /// Connections shed at dequeue because they had already waited past the
-    /// request deadline (answered `503` + `Retry-After`).
+    /// Requests shed at dispatch because they had already waited behind
+    /// their event loop past the request deadline (answered `503` +
+    /// `Retry-After`).
     pub queue_shed: AtomicU64,
     /// Requests whose evaluation was cancelled at the deadline (answered
     /// `504` with partial-progress stats).
@@ -170,46 +171,21 @@ impl ScanMetrics {
 
 /// Transport-layer telemetry: what the socket layer is doing, independent
 /// of which requests it carries. Exported on `/stats` under `"transport"`.
-///
-/// The pool transport reports `accepted` / `open_connections` /
-/// `overload_shed`; the epoll transport additionally tracks ready-queue
-/// depth and read/write stalls (a stall = a parse or flush that had to
-/// wait for the socket to become ready again).
+/// A stall is a parse or flush that had to wait for the socket to become
+/// ready again.
 #[derive(Debug, Default)]
 pub struct TransportMetrics {
-    /// Which transport is serving: `0` none, `1` pool, `2` epoll.
-    pub kind: AtomicU64,
     /// Connections accepted since start.
     pub accepted: AtomicU64,
     /// Currently open connections (gauge).
     pub open_connections: AtomicU64,
-    /// Parsed requests currently queued for a compute worker (gauge;
-    /// epoll transport only).
-    pub ready_queue_depth: AtomicU64,
-    /// Reads that returned `WouldBlock` mid-message (epoll transport).
+    /// Reads that returned `WouldBlock` mid-message.
     pub read_stalls: AtomicU64,
-    /// Writes that returned `WouldBlock` mid-response (epoll transport).
+    /// Writes that returned `WouldBlock` mid-response.
     pub write_stalls: AtomicU64,
-    /// Connections answered `503 server overloaded` because the admission
-    /// queue (pool) or job queue (epoll) was full.
+    /// Connections answered `503 server overloaded` because
+    /// `max_connections` were already open.
     pub overload_shed: AtomicU64,
-}
-
-impl TransportMetrics {
-    /// Decrements a gauge by one (saturating at zero is the caller's
-    /// responsibility to preserve — inc/dec must pair).
-    pub fn dec(counter: &AtomicU64) {
-        counter.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The label for the `kind` counter value.
-    pub fn kind_name(&self) -> &'static str {
-        match self.kind.load(Ordering::Relaxed) {
-            1 => "pool",
-            2 => "epoll",
-            _ => "none",
-        }
-    }
 }
 
 /// Batch-endpoint telemetry: how much work batching actually amortized.
@@ -409,18 +385,6 @@ mod tests {
             ]
         );
         assert_eq!(m.endpoints()[0].1.requests(), 1);
-    }
-
-    #[test]
-    fn transport_gauges_pair_inc_and_dec() {
-        let t = TransportMetrics::default();
-        assert_eq!(t.kind_name(), "none");
-        t.kind.store(2, Ordering::Relaxed);
-        assert_eq!(t.kind_name(), "epoll");
-        ResilienceMetrics::bump(&t.open_connections);
-        ResilienceMetrics::bump(&t.open_connections);
-        TransportMetrics::dec(&t.open_connections);
-        assert_eq!(ResilienceMetrics::get(&t.open_connections), 1);
     }
 
     #[test]

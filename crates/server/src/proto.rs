@@ -1,9 +1,8 @@
-//! Shared HTTP/1.1 wire logic for both transports.
+//! HTTP/1.1 wire logic for the transport.
 //!
-//! The pool transport ([`crate::http`]) and the epoll transport
-//! ([`crate::epoll`]) speak the same protocol by construction: both feed
-//! their inbound bytes through [`try_parse`] and render every answer with
-//! [`render_response`] / [`plain_response`]. The parser is *incremental* —
+//! The event loops of [`crate::epoll`] feed their inbound bytes through
+//! [`try_parse`] and render every answer with [`render_response`] /
+//! [`plain_response`]. The parser is *incremental* —
 //! it consumes a growable connection buffer and reports either
 //! [`ParseOutcome::Incomplete`] (read more) or a complete message plus how
 //! many bytes it spanned, so pipelined requests left in the buffer are
@@ -262,8 +261,8 @@ pub(crate) fn render_response(response: &ApiResponse, keep_alive: bool) -> Vec<u
 }
 
 /// A complete one-shot response (always `Connection: close`), for paths
-/// that answer without going through the service: accept-queue overload and
-/// dequeue-time shedding.
+/// that answer without going through the service: connection-cap overload
+/// and deadline shedding.
 pub(crate) fn plain_response(status: u16, message: &str, retry_after: Option<u64>) -> String {
     let body = Json::obj().set("error", message).encode();
     let retry = match retry_after {
@@ -280,14 +279,14 @@ pub(crate) fn plain_response(status: u16, message: &str, retry_after: Option<u64
     )
 }
 
-/// The `503 server overloaded` push-back both transports use when their
-/// admission queue is full.
+/// The `503 server overloaded` push-back the acceptor answers once
+/// `max_connections` connections are open.
 pub(crate) fn overload_response() -> String {
     plain_response(503, "server overloaded", Some(1))
 }
 
-/// The `503` a worker answers when it dequeues work that already waited
-/// past the request timeout.
+/// The `503` an event loop answers for a request that already waited past
+/// the request timeout.
 pub(crate) fn shed_response() -> String {
     plain_response(503, "shed: queued past the request timeout", Some(1))
 }

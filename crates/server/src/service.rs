@@ -866,15 +866,10 @@ impl Service {
             );
         let t = &self.metrics.transport;
         let transport = Json::obj()
-            .set("kind", t.kind_name())
             .set("accepted", ResilienceMetrics::get(&t.accepted))
             .set(
                 "open_connections",
                 ResilienceMetrics::get(&t.open_connections),
-            )
-            .set(
-                "ready_queue_depth",
-                ResilienceMetrics::get(&t.ready_queue_depth),
             )
             .set("read_stalls", ResilienceMetrics::get(&t.read_stalls))
             .set("write_stalls", ResilienceMetrics::get(&t.write_stalls))

@@ -5,14 +5,17 @@
 //! process-global, and a single sequential scenario is the only way to keep
 //! arming/disarming race-free. The scenarios, in order:
 //!
-//! 1. handler panics → `500` + `panics_caught`, worker and connection live on;
+//! 1. handler panics → `500` + `panics_caught`, event loop and connection live on;
 //! 2. slow query → `504` within `request_timeout` + one checkpoint interval,
 //!    with partial-progress counters;
-//! 3. worker-killing panics → pool respawn restores full capacity;
+//! 3. loop-killing panics → the supervisor's respawn restores full capacity;
 //! 4. failing rebuilds → circuit breaker opens, `/health` degrades, reloads
 //!    shed `503` + `Retry-After`, the old generation serves byte-for-byte,
 //!    and the breaker recovers after the backoff;
 //! 5. snapshot read corruption → engine falls back to a CSV rebuild.
+
+// Serving runs on epoll: Linux only.
+#![cfg(target_os = "linux")]
 
 use molq_core::prelude::*;
 use molq_geom::{Mbr, Point};
@@ -113,7 +116,7 @@ fn chaos_server_survives_injected_faults() {
     let baseline = client.get("/solve").unwrap();
     assert_eq!(baseline.status, 200, "{:?}", baseline.body);
 
-    // --- 1. Handler panics are isolated: 500, same worker, same connection.
+    // --- 1. Handler panics are isolated: 500, same loop, same connection.
     fault::arm_spec("service.handle=panic*2").unwrap();
     for _ in 0..2 {
         let resp = client.get("/solve").unwrap();
@@ -147,12 +150,12 @@ fn chaos_server_survives_injected_faults() {
     );
     assert_eq!(resilience_counter(&mut client, "deadline_timeouts"), 1);
 
-    // --- 3. Panics outside request isolation kill workers; the supervisor
+    // --- 3. Panics outside request isolation kill event loops; the supervisor
     // restores full capacity within one respawn interval.
     fault::arm_spec("http.worker=panic*2").unwrap();
     for _ in 0..2 {
-        // The dequeuing worker dies before serving, so the connection just
-        // drops — the request fails, the *pool* must not.
+        // The dispatching loop dies before serving, so the connection just
+        // drops — the request fails, the *server* must not.
         let died = Client::connect(addr).unwrap().get("/health");
         assert!(died.is_err(), "expected a dropped connection: {died:?}");
     }

@@ -1,8 +1,4 @@
-//! Transport and batch end-to-end tests, run against BOTH socket layers.
-//!
-//! Every scenario here executes once under the blocking worker pool and
-//! once under the epoll event loop (on Linux), asserting the two transports
-//! are observationally equivalent:
+//! Transport and batch end-to-end tests over real sockets:
 //!
 //! * batch endpoints answer byte-identically to N individual requests,
 //!   including `404` unknown-dataset and `504` deadline bodies;
@@ -12,10 +8,13 @@
 //! * a client that closes mid-exchange doesn't take the server down;
 //! * sharded dataset routing resolves every dataset over HTTP.
 
+// Serving runs on epoll: Linux only.
+#![cfg(target_os = "linux")]
+
 use molq_core::prelude::*;
 use molq_geom::{Mbr, Point};
 use molq_server::engine::{DatasetSpec, Engine};
-use molq_server::http::{start, ServerConfig, Transport};
+use molq_server::http::{start, ServerConfig};
 use molq_server::service::{Service, ServiceConfig};
 use molq_server::{Client, Json, ShardedEngine};
 use std::io::{Read, Write};
@@ -63,240 +62,211 @@ fn sample_service() -> Arc<Service> {
     Arc::new(Service::sharded(engines, ServiceConfig::default()))
 }
 
-/// The transports every scenario must behave identically under.
-fn transports() -> Vec<Transport> {
-    let mut all = vec![Transport::Pool];
-    if cfg!(target_os = "linux") {
-        all.push(Transport::Epoll);
-    }
-    all
-}
-
-fn config(transport: Transport) -> ServerConfig {
+fn config() -> ServerConfig {
     ServerConfig {
         workers: 2,
-        transport,
         ..ServerConfig::default()
     }
 }
 
 #[test]
 fn batch_items_answer_byte_identically_to_individual_requests() {
-    for transport in transports() {
-        let handle = start(sample_service(), config(transport)).unwrap();
-        let mut client = Client::connect(handle.addr()).unwrap();
+    let handle = start(sample_service(), config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
 
-        // The oracle: one individual request per batch item, same order.
-        let singles = [
-            client.get("/solve").unwrap(),
-            client.get("/solve?dataset=beta").unwrap(),
-            client.get("/solve?dataset=missing").unwrap(),
-        ];
-        let body = r#"[
-            {},
-            {"dataset": "beta"},
-            {"dataset": "missing"}
-        ]"#;
-        let batch = client.post_body("/solve_batch", body.as_bytes()).unwrap();
-        assert_eq!(batch.status, 200, "{transport:?}: {:?}", batch.body);
-        let results = batch.body.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), singles.len());
-        for (i, (single, item)) in singles.iter().zip(results).enumerate() {
-            assert_eq!(
-                item.get("status").unwrap().as_u64().unwrap(),
-                u64::from(single.status),
-                "{transport:?} item {i}"
-            );
-            assert_eq!(
-                item.get("body").unwrap().encode(),
-                single.body.encode(),
-                "{transport:?} item {i}"
-            );
-        }
-
-        // Top-k items: default k, explicit k, invalid k — same bodies as
-        // the individual endpoint, including the 400 message.
-        let singles = [
-            client.get("/topk").unwrap(),
-            client.get("/topk?k=3").unwrap(),
-            client.get("/topk?k=0").unwrap(),
-        ];
-        let body = r#"{"queries": [{}, {"k": 3}, {"k": 0}]}"#;
-        let batch = client.post_body("/topk_batch", body.as_bytes()).unwrap();
-        assert_eq!(batch.status, 200, "{transport:?}: {:?}", batch.body);
-        let results = batch.body.get("results").unwrap().as_arr().unwrap();
-        for (i, (single, item)) in singles.iter().zip(results).enumerate() {
-            assert_eq!(
-                item.get("status").unwrap().as_u64().unwrap(),
-                u64::from(single.status),
-                "{transport:?} topk item {i}"
-            );
-            assert_eq!(
-                item.get("body").unwrap().encode(),
-                single.body.encode(),
-                "{transport:?} topk item {i}"
-            );
-        }
-
-        // Deadline exhaustion: item bodies carry the same 504 partial
-        // progress the individual endpoint reports.
-        let single = client.get("/solve?deadline_ms=0").unwrap();
-        assert_eq!(single.status, 504);
-        let batch = client
-            .post_body("/solve_batch?deadline_ms=0", b"[{}]")
-            .unwrap();
-        assert_eq!(batch.status, 200, "{transport:?}");
-        let item = &batch.body.get("results").unwrap().as_arr().unwrap()[0];
-        assert_eq!(item.get("status").unwrap().as_u64(), Some(504));
+    // The oracle: one individual request per batch item, same order.
+    let singles = [
+        client.get("/solve").unwrap(),
+        client.get("/solve?dataset=beta").unwrap(),
+        client.get("/solve?dataset=missing").unwrap(),
+    ];
+    let body = r#"[
+        {},
+        {"dataset": "beta"},
+        {"dataset": "missing"}
+    ]"#;
+    let batch = client.post_body("/solve_batch", body.as_bytes()).unwrap();
+    assert_eq!(batch.status, 200, "{:?}", batch.body);
+    let results = batch.body.get("results").unwrap().as_arr().unwrap();
+    assert_eq!(results.len(), singles.len());
+    for (i, (single, item)) in singles.iter().zip(results).enumerate() {
+        assert_eq!(
+            item.get("status").unwrap().as_u64().unwrap(),
+            u64::from(single.status),
+            "item {i}"
+        );
         assert_eq!(
             item.get("body").unwrap().encode(),
             single.body.encode(),
-            "{transport:?} 504 body"
+            "item {i}"
         );
+    }
 
-        // Amortization: N identical items cost one scan, and the response
-        // says so.
-        let batch = client.post_body("/solve_batch?n=8", b"").unwrap();
-        assert_eq!(batch.status, 200, "{transport:?}: {:?}", batch.body);
-        let meta = batch.body.get("batch").unwrap();
-        assert_eq!(meta.get("items").unwrap().as_u64(), Some(8));
-        assert_eq!(meta.get("scans").unwrap().as_u64(), Some(1));
-        assert_eq!(meta.get("amortized_items").unwrap().as_u64(), Some(7));
-        let results = batch.body.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 8);
-        let first = results[0].encode();
-        assert!(results.iter().all(|r| r.encode() == first));
-
-        // Malformed batches are request-level 400s.
-        for (target, body) in [
-            ("/solve_batch", &b"[]"[..]),
-            ("/solve_batch", b"not json"),
-            ("/topk_batch", b"{\"nope\": 1}"),
-        ] {
-            let resp = client.post_body(target, body).unwrap();
-            assert_eq!(resp.status, 400, "{transport:?} {target}");
-            assert!(resp.body.get("error").is_some());
-        }
-        // GET on a batch endpoint is a 400 too.
-        assert_eq!(client.get("/solve_batch").unwrap().status, 400);
-
-        // /stats saw the amortization and names the serving transport.
-        let stats = client.get("/stats").unwrap();
-        let batch_stats = stats.body.get("batch").unwrap();
-        assert!(batch_stats.get("batches").unwrap().as_u64().unwrap() >= 3);
-        assert!(
-            batch_stats
-                .get("amortized_items")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-                >= 7
+    // Top-k items: default k, explicit k, invalid k — same bodies as
+    // the individual endpoint, including the 400 message.
+    let singles = [
+        client.get("/topk").unwrap(),
+        client.get("/topk?k=3").unwrap(),
+        client.get("/topk?k=0").unwrap(),
+    ];
+    let body = r#"{"queries": [{}, {"k": 3}, {"k": 0}]}"#;
+    let batch = client.post_body("/topk_batch", body.as_bytes()).unwrap();
+    assert_eq!(batch.status, 200, "{:?}", batch.body);
+    let results = batch.body.get("results").unwrap().as_arr().unwrap();
+    for (i, (single, item)) in singles.iter().zip(results).enumerate() {
+        assert_eq!(
+            item.get("status").unwrap().as_u64().unwrap(),
+            u64::from(single.status),
+            "topk item {i}"
         );
         assert_eq!(
-            stats
-                .body
-                .get("transport")
-                .unwrap()
-                .get("kind")
-                .unwrap()
-                .as_str(),
-            Some(transport.name())
+            item.get("body").unwrap().encode(),
+            single.body.encode(),
+            "topk item {i}"
         );
-
-        handle.shutdown();
     }
+
+    // Deadline exhaustion: item bodies carry the same 504 partial
+    // progress the individual endpoint reports.
+    let single = client.get("/solve?deadline_ms=0").unwrap();
+    assert_eq!(single.status, 504);
+    let batch = client
+        .post_body("/solve_batch?deadline_ms=0", b"[{}]")
+        .unwrap();
+    assert_eq!(batch.status, 200);
+    let item = &batch.body.get("results").unwrap().as_arr().unwrap()[0];
+    assert_eq!(item.get("status").unwrap().as_u64(), Some(504));
+    assert_eq!(
+        item.get("body").unwrap().encode(),
+        single.body.encode(),
+        "504 body"
+    );
+
+    // Amortization: N identical items cost one scan, and the response
+    // says so.
+    let batch = client.post_body("/solve_batch?n=8", b"").unwrap();
+    assert_eq!(batch.status, 200, "{:?}", batch.body);
+    let meta = batch.body.get("batch").unwrap();
+    assert_eq!(meta.get("items").unwrap().as_u64(), Some(8));
+    assert_eq!(meta.get("scans").unwrap().as_u64(), Some(1));
+    assert_eq!(meta.get("amortized_items").unwrap().as_u64(), Some(7));
+    let results = batch.body.get("results").unwrap().as_arr().unwrap();
+    assert_eq!(results.len(), 8);
+    let first = results[0].encode();
+    assert!(results.iter().all(|r| r.encode() == first));
+
+    // Malformed batches are request-level 400s.
+    for (target, body) in [
+        ("/solve_batch", &b"[]"[..]),
+        ("/solve_batch", b"not json"),
+        ("/topk_batch", b"{\"nope\": 1}"),
+    ] {
+        let resp = client.post_body(target, body).unwrap();
+        assert_eq!(resp.status, 400, "{target}");
+        assert!(resp.body.get("error").is_some());
+    }
+    // GET on a batch endpoint is a 400 too.
+    assert_eq!(client.get("/solve_batch").unwrap().status, 400);
+
+    // /stats saw the amortization.
+    let stats = client.get("/stats").unwrap();
+    let batch_stats = stats.body.get("batch").unwrap();
+    assert!(batch_stats.get("batches").unwrap().as_u64().unwrap() >= 3);
+    assert!(
+        batch_stats
+            .get("amortized_items")
+            .unwrap()
+            .as_u64()
+            .unwrap()
+            >= 7
+    );
+    handle.shutdown();
 }
 
 #[test]
 fn pipelined_keep_alive_requests_answer_in_order() {
-    for transport in transports() {
-        let handle = start(sample_service(), config(transport)).unwrap();
-        let mut raw = TcpStream::connect(handle.addr()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        // Three requests in ONE write; answers must come back in order on
-        // the same connection.
-        let pipelined = "GET /health HTTP/1.1\r\nHost: m\r\n\r\n\
-                         GET /stats HTTP/1.1\r\nHost: m\r\n\r\n\
-                         GET /nope HTTP/1.1\r\nHost: m\r\n\r\n";
-        raw.write_all(pipelined.as_bytes()).unwrap();
-        let mut seen = Vec::new();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        while seen.len() < 3 {
-            let n = raw.read(&mut chunk).unwrap();
-            assert!(n > 0, "{transport:?}: connection closed after {seen:?}");
-            buf.extend_from_slice(&chunk[..n]);
-            // Count complete responses by their status lines.
-            let text = String::from_utf8_lossy(&buf);
-            seen = text
-                .match_indices("HTTP/1.1 ")
-                .map(|(i, _)| text[i + 9..i + 12].to_string())
-                .collect();
-        }
-        assert_eq!(seen, ["200", "200", "404"], "{transport:?}");
-        handle.shutdown();
+    let handle = start(sample_service(), config()).unwrap();
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // Three requests in ONE write; answers must come back in order on
+    // the same connection.
+    let pipelined = "GET /health HTTP/1.1\r\nHost: m\r\n\r\n\
+                     GET /stats HTTP/1.1\r\nHost: m\r\n\r\n\
+                     GET /nope HTTP/1.1\r\nHost: m\r\n\r\n";
+    raw.write_all(pipelined.as_bytes()).unwrap();
+    let mut seen = Vec::new();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while seen.len() < 3 {
+        let n = raw.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed after {seen:?}");
+        buf.extend_from_slice(&chunk[..n]);
+        // Count complete responses by their status lines.
+        let text = String::from_utf8_lossy(&buf);
+        seen = text
+            .match_indices("HTTP/1.1 ")
+            .map(|(i, _)| text[i + 9..i + 12].to_string())
+            .collect();
     }
+    assert_eq!(seen, ["200", "200", "404"]);
+    handle.shutdown();
 }
 
 #[test]
 fn slow_loris_is_reaped_without_wedging_other_clients() {
-    for transport in transports() {
-        let read_timeout = Duration::from_millis(300);
-        let handle = start(
-            sample_service(),
-            ServerConfig {
-                read_timeout,
-                ..config(transport)
-            },
-        )
-        .unwrap();
-        let addr = handle.addr();
+    let read_timeout = Duration::from_millis(300);
+    let handle = start(
+        sample_service(),
+        ServerConfig {
+            read_timeout,
+            ..config()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
 
-        // The loris: drip half a request head, then go silent.
-        let mut loris = TcpStream::connect(addr).unwrap();
-        loris.write_all(b"GET /health HT").unwrap();
-        loris.set_read_timeout(Some(read_timeout * 10)).unwrap();
+    // The loris: drip half a request head, then go silent.
+    let mut loris = TcpStream::connect(addr).unwrap();
+    loris.write_all(b"GET /health HT").unwrap();
+    loris.set_read_timeout(Some(read_timeout * 10)).unwrap();
 
-        // While it hangs, a well-behaved client is served immediately.
-        let mut client = Client::connect(addr).unwrap();
-        let resp = client.get("/health").unwrap();
-        assert_eq!(resp.status, 200, "{transport:?}");
+    // While it hangs, a well-behaved client is served immediately.
+    let mut client = Client::connect(addr).unwrap();
+    let resp = client.get("/health").unwrap();
+    assert_eq!(resp.status, 200);
 
-        // The loris connection is closed (EOF) within the idle timeout
-        // plus scheduling slack, not held forever.
-        let start_wait = Instant::now();
-        let mut sink = [0u8; 64];
-        let n = loris.read(&mut sink).unwrap_or(0);
-        assert_eq!(n, 0, "{transport:?}: expected EOF, got {n} bytes");
-        assert!(
-            start_wait.elapsed() < read_timeout * 8,
-            "{transport:?}: loris held open {:?}",
-            start_wait.elapsed()
-        );
-        handle.shutdown();
-    }
+    // The loris connection is closed (EOF) within the idle timeout
+    // plus scheduling slack, not held forever.
+    let start_wait = Instant::now();
+    let mut sink = [0u8; 64];
+    let n = loris.read(&mut sink).unwrap_or(0);
+    assert_eq!(n, 0, "expected EOF, got {n} bytes");
+    assert!(
+        start_wait.elapsed() < read_timeout * 8,
+        "loris held open {:?}",
+        start_wait.elapsed()
+    );
+    handle.shutdown();
 }
 
 #[test]
 fn premature_close_leaves_the_server_serving() {
-    for transport in transports() {
-        let handle = start(sample_service(), config(transport)).unwrap();
-        let addr = handle.addr();
-        // Fire a request and slam the connection without reading the answer,
-        // several times in a row.
-        for _ in 0..5 {
-            let mut rude = TcpStream::connect(addr).unwrap();
-            rude.write_all(b"GET /solve HTTP/1.1\r\nHost: m\r\n\r\n")
-                .unwrap();
-            drop(rude);
-        }
-        // The server still answers politely afterwards.
-        let mut client = Client::connect(addr).unwrap();
-        for _ in 0..3 {
-            assert_eq!(client.get("/solve").unwrap().status, 200, "{transport:?}");
-        }
-        handle.shutdown();
+    let handle = start(sample_service(), config()).unwrap();
+    let addr = handle.addr();
+    // Fire a request and slam the connection without reading the answer,
+    // several times in a row.
+    for _ in 0..5 {
+        let mut rude = TcpStream::connect(addr).unwrap();
+        rude.write_all(b"GET /solve HTTP/1.1\r\nHost: m\r\n\r\n")
+            .unwrap();
+        drop(rude);
     }
+    // The server still answers politely afterwards.
+    let mut client = Client::connect(addr).unwrap();
+    for _ in 0..3 {
+        assert_eq!(client.get("/solve").unwrap().status, 200);
+    }
+    handle.shutdown();
 }
 
 #[test]
@@ -316,53 +286,43 @@ fn sharded_datasets_resolve_over_http() {
     };
     assert!(distinct > 1, "all of {names:?} landed on one shard");
 
-    for transport in transports() {
-        let engines = ShardedEngine::new(3);
-        for (i, name) in names.iter().enumerate() {
-            load_dataset(engines.engine_for(name), name, 100 + i as u64 * 10);
-        }
-        let service = Arc::new(Service::sharded(engines, ServiceConfig::default()));
-        let handle = start(Arc::clone(&service), config(transport)).unwrap();
-        let mut client = Client::connect(handle.addr()).unwrap();
-        for name in names {
-            let resp = client.get(&format!("/solve?dataset={name}")).unwrap();
-            assert_eq!(resp.status, 200, "{transport:?} {name}: {:?}", resp.body);
-            assert_eq!(resp.body.get("dataset").unwrap().as_str(), Some(name));
-        }
-        // /health lists every dataset across shards; /stats describes the
-        // shard layout.
-        let health = client.get("/health").unwrap();
-        let listed = health.body.get("datasets").unwrap().as_arr().unwrap();
-        assert_eq!(listed.len(), names.len());
-        let stats = client.get("/stats").unwrap();
-        let shards = stats.body.get("shards").unwrap();
-        assert_eq!(shards.get("count").unwrap().as_u64(), Some(3));
-        let rows = shards.get("assignments").unwrap().as_arr().unwrap();
-        assert_eq!(rows.len(), 3);
-        let total: u64 = rows
-            .iter()
-            .map(|r| r.get("datasets").unwrap().as_u64().unwrap())
-            .sum();
-        assert_eq!(total, names.len() as u64);
-        // A batch addressed across shards answers every item.
-        let body = Json::from(
-            names
-                .iter()
-                .map(|n| Json::obj().set("dataset", *n))
-                .collect::<Vec<_>>(),
-        )
-        .encode();
-        let batch = client.post_body("/solve_batch", body.as_bytes()).unwrap();
-        assert_eq!(batch.status, 200, "{transport:?}: {:?}", batch.body);
-        let results = batch.body.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), names.len());
-        for (name, item) in names.iter().zip(results) {
-            assert_eq!(
-                item.get("status").unwrap().as_u64(),
-                Some(200),
-                "{transport:?} {name}"
-            );
-        }
-        handle.shutdown();
+    let service = Arc::new(Service::sharded(engines, ServiceConfig::default()));
+    let handle = start(Arc::clone(&service), config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for name in names {
+        let resp = client.get(&format!("/solve?dataset={name}")).unwrap();
+        assert_eq!(resp.status, 200, "{name}: {:?}", resp.body);
+        assert_eq!(resp.body.get("dataset").unwrap().as_str(), Some(name));
     }
+    // /health lists every dataset across shards; /stats describes the
+    // shard layout.
+    let health = client.get("/health").unwrap();
+    let listed = health.body.get("datasets").unwrap().as_arr().unwrap();
+    assert_eq!(listed.len(), names.len());
+    let stats = client.get("/stats").unwrap();
+    let shards = stats.body.get("shards").unwrap();
+    assert_eq!(shards.get("count").unwrap().as_u64(), Some(3));
+    let rows = shards.get("assignments").unwrap().as_arr().unwrap();
+    assert_eq!(rows.len(), 3);
+    let total: u64 = rows
+        .iter()
+        .map(|r| r.get("datasets").unwrap().as_u64().unwrap())
+        .sum();
+    assert_eq!(total, names.len() as u64);
+    // A batch addressed across shards answers every item.
+    let body = Json::from(
+        names
+            .iter()
+            .map(|n| Json::obj().set("dataset", *n))
+            .collect::<Vec<_>>(),
+    )
+    .encode();
+    let batch = client.post_body("/solve_batch", body.as_bytes()).unwrap();
+    assert_eq!(batch.status, 200, "{:?}", batch.body);
+    let results = batch.body.get("results").unwrap().as_arr().unwrap();
+    assert_eq!(results.len(), names.len());
+    for (name, item) in names.iter().zip(results) {
+        assert_eq!(item.get("status").unwrap().as_u64(), Some(200), "{name}");
+    }
+    handle.shutdown();
 }

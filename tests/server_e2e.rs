@@ -2,6 +2,9 @@
 //! port, concurrent clients mixing `locate` / `solve` / `topk`, every answer
 //! checked against direct library calls, then a graceful shutdown.
 
+// Serving runs on epoll: Linux only.
+#![cfg(target_os = "linux")]
+
 use molq::prelude::*;
 use molq_geom::{Mbr, Point};
 use molq_server::engine::{DatasetSpec, Engine};
