@@ -35,7 +35,7 @@ USAGE:
                 [--epsilon <f64>] [--bounds x0,y0,x1,y1]
                 [--shutdown-after <seconds>]
                 [--snapshot-dir <dir>] [--request-timeout <seconds>]
-                [--threads <n>] [--shards <n>]
+                [--threads <n>]
   molq snapshot build   --input <file.csv> [--input <file.csv> ...]
                         --dir <dir> [--name <dataset>] [--algo <rrb|mbrb>]
                         [--eps <f64>] [--epsilon <f64>]
@@ -44,9 +44,10 @@ USAGE:
   molq snapshot verify  --file <file.molq>
   molq update add     --dir <dir> [--name <dataset>] --set <name|index>
                       --x <f64> --y <f64> [--wt <f64>] [--wo <f64>]
+                      [--threads <n>]
   molq update remove  --dir <dir> [--name <dataset>] --set <name|index>
-                      --index <n>
-  molq update compact --dir <dir> [--name <dataset>]
+                      --index <n> [--threads <n>]
+  molq update compact --dir <dir> [--name <dataset>] [--threads <n>]
 
 Bounds default to the MBR of the input objects inflated by 5%.
 --epsilon > 0 builds the dataset with the tiered approximate pipeline
@@ -77,13 +78,39 @@ MOLQ_THREADS env var, else serial for solve and all cores for serve.
 
 `serve` requires Linux: --workers epoll event loops (default 4) each own
 their connections and answer requests inline; the other commands run
-anywhere.
---shards spreads named datasets across engine replicas with deterministic
-rendezvous routing; batch queries land on POST /solve_batch and
-POST /topk_batch.
+anywhere. Batch queries land on POST /solve_batch and POST /topk_batch.
+Every command rejects flags it does not list above.
 "
     .to_string()
 }
+
+/// A subcommand's entry point.
+type Handler = fn(&Flags) -> Result<String, String>;
+
+/// Every subcommand with the (space-separated) flags it accepts; any other
+/// flag is an error. `snapshot` and `update` take a positional subcommand
+/// before their flags.
+const COMMANDS: &[(&str, Handler, &str)] = &[
+    ("generate", generate, "layer n out seed wt zipf bounds"),
+    ("solve", solve, "input algo eps tiles k bounds threads"),
+    ("render", render, "input out mode width bounds"),
+    (
+        "serve",
+        serve,
+        "input algo host port workers name eps epsilon bounds shutdown-after \
+         snapshot-dir request-timeout threads",
+    ),
+    (
+        "snapshot build",
+        snapshot_build,
+        "input dir name algo eps epsilon bounds",
+    ),
+    ("snapshot inspect", snapshot_inspect, "file"),
+    ("snapshot verify", snapshot_verify, "file"),
+    ("update add", update_add, "dir name set x y wt wo threads"),
+    ("update remove", update_remove, "dir name set index threads"),
+    ("update compact", update_compact, "dir name threads"),
+];
 
 /// Parsed flag set: `--key value` pairs, `--key` repeated collects.
 struct Flags {
@@ -91,13 +118,22 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parses `args`, rejecting any flag `command` does not list in `known`.
+    fn parse(command: &str, known: &str, args: &[String]) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let k = &args[i];
             if !k.starts_with("--") {
                 return Err(format!("expected a --flag, got {k:?}"));
+            }
+            if !known.split_whitespace().any(|f| f == &k[2..]) {
+                let accepted: Vec<String> =
+                    known.split_whitespace().map(|f| format!("--{f}")).collect();
+                return Err(format!(
+                    "unknown flag {k} for `{command}` (accepted: {})",
+                    accepted.join(", ")
+                ));
             }
             let v = args
                 .get(i + 1)
@@ -222,37 +258,29 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let Some(cmd) = args.first() else {
         return Err("missing command".into());
     };
-    if cmd == "snapshot" {
-        // `snapshot` takes a positional subcommand before its flags.
-        return snapshot(&args[1..]);
-    }
-    if cmd == "update" {
-        // So does `update`.
-        return update(&args[1..]);
-    }
-    let flags = Flags::parse(&args[1..])?;
-    match cmd.as_str() {
-        "generate" => generate(&flags),
-        "solve" => solve(&flags),
-        "render" => render(&flags),
-        "serve" => serve(&flags),
-        other => Err(format!("unknown command {other:?}")),
-    }
-}
-
-fn snapshot(args: &[String]) -> Result<String, String> {
-    let Some(sub) = args.first() else {
-        return Err("snapshot needs a subcommand (build, inspect, verify)".into());
+    let (command, rest) = match cmd.as_str() {
+        "snapshot" | "update" => {
+            let subs: Vec<&str> = COMMANDS
+                .iter()
+                .filter_map(|(name, ..)| name.strip_prefix(cmd.as_str())?.strip_prefix(' '))
+                .collect();
+            let Some(sub) = args.get(1) else {
+                return Err(format!("{cmd} needs a subcommand ({})", subs.join(", ")));
+            };
+            if !subs.contains(&sub.as_str()) {
+                return Err(format!(
+                    "unknown {cmd} subcommand {sub:?} ({})",
+                    subs.join(", ")
+                ));
+            }
+            (format!("{cmd} {sub}"), &args[2..])
+        }
+        _ => (cmd.clone(), &args[1..]),
     };
-    let flags = Flags::parse(&args[1..])?;
-    match sub.as_str() {
-        "build" => snapshot_build(&flags),
-        "inspect" => snapshot_inspect(&flags),
-        "verify" => snapshot_verify(&flags),
-        other => Err(format!(
-            "unknown snapshot subcommand {other:?} (build, inspect, verify)"
-        )),
-    }
+    let Some((_, handler, known)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown command {cmd:?}"));
+    };
+    handler(&Flags::parse(&command, known, rest)?)
 }
 
 fn snapshot_build(flags: &Flags) -> Result<String, String> {
@@ -471,27 +499,12 @@ fn snapshot_verify(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
-/// The offline live-update command: `molq update <add|remove|compact>`
-/// edits a snapshot through the same incremental patch layer the server
-/// uses, journaling each change before rewriting nothing — the base file
-/// stays untouched until `compact` folds the journal in.
-fn update(args: &[String]) -> Result<String, String> {
-    let Some(sub) = args.first() else {
-        return Err("update needs a subcommand (add, remove, compact)".into());
-    };
-    let flags = Flags::parse(&args[1..])?;
-    match sub.as_str() {
-        "add" => update_add(&flags),
-        "remove" => update_remove(&flags),
-        "compact" => update_compact(&flags),
-        other => Err(format!(
-            "unknown update subcommand {other:?} (add, remove, compact)"
-        )),
-    }
-}
-
 /// A snapshot opened for offline updates: the base file, its live
 /// (journal-replayed) diagram, and the journal opened for appending.
+/// `molq update <add|remove|compact>` edits a snapshot through the same
+/// incremental patch layer the server uses, journaling each change and
+/// rewriting nothing — the base file stays untouched until `compact` folds
+/// the journal in.
 struct OfflineLive {
     path: std::path::PathBuf,
     stored: molq_store::StoredSnapshot,
@@ -817,7 +830,7 @@ fn install_sigint_handler() {
 fn install_sigint_handler() {}
 
 fn serve(flags: &Flags) -> Result<String, String> {
-    use molq_server::engine::DatasetSpec;
+    use molq_server::engine::{DatasetSpec, Engine};
     use molq_server::http::{start, ServerConfig};
     use molq_server::service::{Service, ServiceConfig};
     use std::sync::atomic::Ordering;
@@ -853,10 +866,6 @@ fn serve(flags: &Flags) -> Result<String, String> {
     if !request_timeout.is_finite() || request_timeout <= 0.0 {
         return Err("--request-timeout must be a positive number of seconds".into());
     }
-    let shards = flags.parse_usize("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     // Default: MOLQ_THREADS, else all cores (ServiceConfig::default).
     let exec = exec_flag(flags, ExecConfig::new(ServiceConfig::default().threads))?;
 
@@ -877,16 +886,14 @@ fn serve(flags: &Flags) -> Result<String, String> {
         eprintln!("molq serve: fault injection armed: {spec}");
     }
 
-    let engines = molq_server::ShardedEngine::new(shards);
-    // The initial build runs on the same pool width the service will use,
-    // on the shard the rendezvous routing assigns this dataset.
-    engines.set_exec_config(exec);
+    let engine = Engine::new();
+    // The initial build runs on the same pool width the service will use.
+    engine.set_exec_config(exec);
     let build_start = Instant::now();
-    let (snapshot, outcome) = engines.engine_for(&name).load_traced(spec)?;
+    let (snapshot, outcome) = engine.load_traced(spec)?;
     let build_time = build_start.elapsed();
-    let shard_of = engines.shard_of(&name);
-    let service = Arc::new(Service::sharded(
-        engines,
+    let service = Arc::new(Service::with_config(
+        engine,
         ServiceConfig {
             request_timeout: Duration::from_secs_f64(request_timeout),
             threads: exec.threads,
@@ -920,9 +927,6 @@ fn serve(flags: &Flags) -> Result<String, String> {
     // The one transport is a worker pool of `--workers` epoll event loops;
     // the line keeps the name molqbench records as the transport fact.
     let _ = writeln!(out, "transport : pool");
-    if shards > 1 {
-        let _ = writeln!(out, "shards    : {shards} ({name} on shard {shard_of})");
-    }
     let _ = writeln!(out, "address   : http://{}", handle.addr());
     // The report so far is only returned when the server exits, so print the
     // serving banner immediately for interactive use.
@@ -1010,6 +1014,24 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        for (args, flag) in [
+            ("serve --input x.csv --shards 2", "--shards"),
+            ("serve --input x.csv --transport epoll", "--transport"),
+            ("solve --input x.csv --thread 4", "--thread"),
+            ("generate --layer STM --out x.csv --bogus 7", "--bogus"),
+            ("snapshot verify --file x.molq --dir d", "--dir"),
+            ("update compact --dir d --bounds 0,0,1,1", "--bounds"),
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag {flag} ")),
+                "{args}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn generate_zipf_writes_skewed_object_weights() {
         let dir = std::env::temp_dir().join("molq_cli_zipf");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1055,6 +1077,14 @@ mod tests {
             "--index",
         ] {
             assert!(text.contains(flag), "usage misses {flag}");
+        }
+        for (command, _, known) in COMMANDS {
+            for flag in known.split_whitespace() {
+                assert!(
+                    text.contains(&format!("--{flag}")),
+                    "usage misses {command} --{flag}"
+                );
+            }
         }
         assert!(text.contains("MOLQ_FAULTS"), "usage misses MOLQ_FAULTS");
         assert!(text.contains("journal"), "usage misses the journal");
@@ -1353,9 +1383,6 @@ mod tests {
         assert!(run(&argv("serve --input x.csv --port notaport"))
             .unwrap_err()
             .contains("--port"));
-        assert!(run(&argv("serve --input x.csv --shards 0"))
-            .unwrap_err()
-            .contains("--shards"));
         // A missing input file fails at load, not with a panic.
         assert!(run(&argv("serve --input /nonexistent/layer.csv --port 0")).is_err());
     }
@@ -1389,7 +1416,7 @@ mod tests {
 
     #[test]
     #[cfg(target_os = "linux")]
-    fn serve_runs_the_epoll_transport_with_shards() {
+    fn serve_runs_the_epoll_transport_on_one_layer() {
         let dir = std::env::temp_dir().join("molq_cli_serve_epoll");
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("a.csv");
@@ -1400,15 +1427,12 @@ mod tests {
         .unwrap();
         let report = run(&argv(&format!(
             "serve --input {} --bounds 0,0,40,40 --port 0 --workers 2 \
-             --shards 3 --shutdown-after 0.2",
+             --shutdown-after 0.2",
             a.display()
         )))
         .unwrap();
+        assert!(report.contains("1 sets, 12 objects"), "{report}");
         assert!(report.contains("transport : pool"), "{report}");
-        assert!(
-            report.contains("shards    : 3 (default on shard"),
-            "{report}"
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!    convex–convex clips;
 //! 4. splice kept + re-derived OVRs back into canonical order
 //!    ([`Movd::canonicalize`]) and patch the locate grid in place
-//!    ([`LocateGrid::patched`]).
+//!    ([`LocateGrid::patched_arena`]).
 //!
 //! The invariant, checked by this module's tests and the store-level
 //! proptests: **a patched [`LiveMovd`] is byte-identical to a from-scratch

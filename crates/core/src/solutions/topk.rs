@@ -89,7 +89,7 @@ pub fn solve_topk_with(
 /// Top-k selection is order-sensitive (spatial dedup can merge candidates),
 /// so the scan emits *every* solved, contained candidate and the final
 /// ranking is decided by replaying them in group-index order through
-/// [`admit`] — exactly what the sequential loop would do. During the scan, a
+/// `admit` — exactly what the sequential loop would do. During the scan, a
 /// mutex-guarded ranking maintained with the same admission rules feeds the
 /// k-th-best cost into a [`SharedBound`] used purely for pruning: the list
 /// only ever improves, so that bound is monotonically non-increasing and can

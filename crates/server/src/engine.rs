@@ -21,6 +21,13 @@
 //! ticket immediately and swaps the new snapshot in when the build finishes,
 //! so an HTTP reload does not hold a connection open for the whole overlap.
 //!
+//! Every publication — load, reload, live update, compaction — goes through
+//! one compare-and-swap (`Engine::publish`): it assigns the dataset's next
+//! generation under the registry write lock, and refuses when the served
+//! generation is no longer the one the new snapshot was derived from. A
+//! reload that loses to a live update fails with [`ReloadError::Conflict`]
+//! instead of silently dropping the update.
+//!
 //! Rebuilds are guarded by a per-dataset **circuit breaker**
 //! ([`BreakerConfig`]): after `threshold` consecutive build failures the
 //! breaker opens and further rebuild attempts fast-fail with
@@ -41,6 +48,7 @@ use molq_store::{
 };
 use std::collections::HashMap;
 use std::fs::File;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -108,8 +116,10 @@ const QUANT_STEPS: f64 = (1u64 << 20) as f64;
 pub struct Snapshot {
     /// The build recipe (kept for reloads).
     pub spec: DatasetSpec,
-    /// Monotonic build counter for this dataset name; bumps on every reload
-    /// so cache keys from older snapshots can never alias new answers.
+    /// Monotonic publish counter for this dataset name, assigned by the
+    /// registry when the snapshot is published (0 until then). Every
+    /// publication — load, reload, live update, compaction — takes the next
+    /// value, so cache keys from older snapshots can never alias new answers.
     pub generation: u64,
     /// The query the MOVD was built from (object sets, weights, bounds, ε).
     pub query: MolqQuery,
@@ -131,12 +141,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn build(
-        spec: DatasetSpec,
-        sets: Vec<ObjectSet>,
-        generation: u64,
-        exec: ExecConfig,
-    ) -> Result<Self, String> {
+    fn build(spec: DatasetSpec, sets: Vec<ObjectSet>, exec: ExecConfig) -> Result<Self, String> {
         let bounds = match spec.bounds {
             Some(b) => b,
             None => {
@@ -159,7 +164,6 @@ impl Snapshot {
             spec,
             query,
             MovdIndex::build(movd),
-            generation,
             0,
             build_meta,
         ))
@@ -167,11 +171,7 @@ impl Snapshot {
 
     /// Restores a serving snapshot from a persisted build: the MOVD and grid
     /// come straight off disk, so no Overlapper or index work runs.
-    fn from_stored(
-        spec: DatasetSpec,
-        stored: StoredSnapshot,
-        generation: u64,
-    ) -> Result<Self, String> {
+    fn from_stored(spec: DatasetSpec, stored: StoredSnapshot) -> Result<Self, String> {
         let bounds = stored.movd.bounds();
         let update_epoch = stored.update_epoch;
         let build_meta = stored.build;
@@ -183,17 +183,16 @@ impl Snapshot {
             spec,
             query,
             index,
-            generation,
             update_epoch,
             build_meta,
         ))
     }
 
+    /// An unpublished snapshot: [`Engine::publish`] assigns its generation.
     fn assemble(
         spec: DatasetSpec,
         query: MolqQuery,
         index: MovdIndex,
-        generation: u64,
         update_epoch: u64,
         build_meta: BuildMeta,
     ) -> Self {
@@ -201,7 +200,7 @@ impl Snapshot {
         let quantum = bounds.width().max(bounds.height()) / QUANT_STEPS;
         Snapshot {
             spec,
-            generation,
+            generation: 0,
             query,
             index,
             lanes: OnceLock::new(),
@@ -278,8 +277,18 @@ pub enum ReloadError {
         /// The failure that (most recently) opened the breaker.
         last_error: String,
     },
+    /// The dataset was republished (by a live update, a compaction or
+    /// another reload) while this rebuild was in flight. Nothing was
+    /// published; the rebuild is safe to retry against the new generation.
+    Conflict(String),
     /// The rebuild itself failed (or the dataset does not exist).
     Failed(String),
+}
+
+impl From<String> for ReloadError {
+    fn from(msg: String) -> Self {
+        ReloadError::Failed(msg)
+    }
 }
 
 impl std::fmt::Display for ReloadError {
@@ -292,7 +301,7 @@ impl std::fmt::Display for ReloadError {
                 f,
                 "rebuild breaker open for another {retry_in:?} (last error: {last_error})"
             ),
-            ReloadError::Failed(msg) => write!(f, "{msg}"),
+            ReloadError::Conflict(msg) | ReloadError::Failed(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -344,6 +353,8 @@ pub struct BreakerReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReloadTicket {
     /// Generation the dataset will have once the in-flight build publishes.
+    /// Exact: the build publishes as this generation or not at all (it
+    /// loses to any publication that lands first).
     pub target_generation: u64,
     /// `true` when a build for this dataset was already running and no new
     /// one was started.
@@ -602,9 +613,24 @@ impl Engine {
 
     /// Like [`load`](Self::load), but also reports whether the dataset was
     /// rebuilt from CSVs or restored from a snapshot file.
+    ///
+    /// A load replaces the generation served when it started; it fails,
+    /// publishing nothing, if another publication lands while it builds.
     pub fn load_traced(&self, spec: DatasetSpec) -> Result<(Arc<Snapshot>, LoadOutcome), String> {
+        let derived_from = self.get(&spec.name).map(|s| s.generation);
+        self.load_derived(spec, derived_from)
+            .map_err(|e| e.to_string())
+    }
+
+    /// [`load_traced`](Self::load_traced) as the replacement of generation
+    /// `derived_from` (`None`: the dataset's first load).
+    fn load_derived(
+        &self,
+        spec: DatasetSpec,
+        derived_from: Option<u64>,
+    ) -> Result<(Arc<Snapshot>, LoadOutcome), ReloadError> {
         if spec.paths.is_empty() {
-            return Err(format!("dataset {:?} has no input files", spec.name));
+            return Err(format!("dataset {:?} has no input files", spec.name).into());
         }
         self.maybe_delay_build();
         let fingerprint = SourceFingerprint::of_paths(&spec.paths)
@@ -614,12 +640,14 @@ impl Engine {
             self.sweep_snapshot_dir(dir);
         }
         if let Some(recovery) = self.try_restore(&spec, &fingerprint) {
-            match self.restore_recovered(&spec, recovery) {
+            match self.restore_recovered(&spec, recovery, derived_from) {
                 Ok(snap) => return Ok((snap, LoadOutcome::LoadedFromSnapshot)),
+                // A lost publish race: rebuilding would lose it too.
+                Err(conflict @ ReloadError::Conflict(_)) => return Err(conflict),
                 Err(e) => {
-                    // Unreachable short of a publish race or an internal
-                    // defect — journal trouble is absorbed by the recovery
-                    // ladder (salvage or set-aside), never by rebuilding.
+                    // Unreachable short of an internal defect — journal
+                    // trouble is absorbed by the recovery ladder (salvage or
+                    // set-aside), never by rebuilding.
                     eprintln!(
                         "molq-server: restore of {:?} failed ({e}); rebuilding from CSVs",
                         spec.name
@@ -640,7 +668,10 @@ impl Engine {
                 read_csv(&name, f).map_err(|e| format!("{}: {e}", path.display()))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let snap = self.publish(spec, sets)?;
+        let snap = self.publish(
+            Snapshot::build(spec, sets, self.exec_config())?,
+            derived_from,
+        )?;
         self.persist(&snap, fingerprint);
         Ok((snap, LoadOutcome::BuiltFromCsv))
     }
@@ -787,81 +818,46 @@ impl Engine {
         sets: Vec<ObjectSet>,
     ) -> Result<Arc<Snapshot>, String> {
         spec.paths.clear();
+        let derived_from = self.get(&spec.name).map(|s| s.generation);
         self.maybe_delay_build();
-        self.publish(spec, sets)
+        let snapshot = Snapshot::build(spec, sets, self.exec_config())?;
+        self.publish(snapshot, derived_from)
+            .map_err(|e| e.to_string())
     }
 
     /// Rebuilds the named dataset from its stored spec and swaps it in,
-    /// blocking until the new snapshot is published. File-backed datasets
-    /// re-read their CSVs; if the CSVs are unchanged and a matching snapshot
-    /// file exists, the reload fast-loads it (the result is semantically
-    /// identical to a rebuild). In-memory datasets re-overlap their held
-    /// sets.
+    /// blocking until the new snapshot is published. `Some(mode)` switches
+    /// the dataset's construction mode for this and every later rebuild —
+    /// the `POST /reload?epsilon=` path between exact and approximate
+    /// serving. File-backed datasets re-read their CSVs; if the CSVs are
+    /// unchanged and a matching snapshot file exists, the reload fast-loads
+    /// it (the result is semantically identical to a rebuild). In-memory
+    /// datasets re-overlap their held sets.
     ///
     /// Rebuilds feed the per-dataset circuit breaker: while it is open the
     /// reload fast-fails with [`ReloadError::BreakerOpen`] and the current
-    /// snapshot keeps serving.
-    pub fn reload(&self, name: &str) -> Result<Arc<Snapshot>, ReloadError> {
-        self.reload_with_mode(name, None)
-    }
-
-    /// Like [`reload`](Self::reload), but `Some(mode)` switches the
-    /// dataset's construction mode for this and every later rebuild — the
-    /// `POST /reload?epsilon=` path between exact and approximate serving.
-    pub fn reload_with_mode(
+    /// snapshot keeps serving. A rebuild that loses a publish race to a live
+    /// update or another reload fails with [`ReloadError::Conflict`].
+    pub fn reload(
         &self,
         name: &str,
         mode: Option<BuildMode>,
     ) -> Result<Arc<Snapshot>, ReloadError> {
-        let current = self
-            .get(name)
-            .ok_or_else(|| ReloadError::Failed(format!("no dataset {name:?}")))?;
-        self.admit_rebuild(name)?;
-        let result = self.rebuild(&current, mode);
-        self.record_rebuild(name, &result);
-        result.map_err(ReloadError::Failed)
+        let current = self.admit_rebuild(name)?;
+        self.rebuild(&current, mode)
     }
 
-    /// The actual rebuild work (behind the breaker's admission check).
-    fn rebuild(
-        &self,
-        current: &Snapshot,
-        mode: Option<BuildMode>,
-    ) -> Result<Arc<Snapshot>, String> {
-        crate::fault::fail_point("engine.rebuild")
-            .map_err(|e| format!("injected rebuild failure: {e}"))?;
-        let mut spec = current.spec.clone();
-        if let Some(mode) = mode {
-            spec.build = mode;
-        }
-        if spec.paths.is_empty() {
-            self.maybe_delay_build();
-            self.publish(spec, current.query.sets.clone())
-        } else {
-            self.load(spec)
-        }
-    }
-
-    /// Starts a reload on a background thread and returns immediately with
-    /// the generation the rebuild will publish as. A second request while a
-    /// build is in flight does not start another; it returns the same target
-    /// with `already_building` set. Fast-fails while the rebuild breaker is
-    /// open, without spawning anything.
-    pub fn reload_background(&self, name: &str) -> Result<ReloadTicket, ReloadError> {
-        self.reload_background_with_mode(name, None)
-    }
-
-    /// [`reload_background`](Self::reload_background) with an optional
-    /// construction-mode switch (see [`reload_with_mode`](Self::reload_with_mode)).
-    pub fn reload_background_with_mode(
+    /// Starts a [`reload`](Self::reload) on a background thread and returns
+    /// immediately with the generation the rebuild will publish as. A second
+    /// request while a build is in flight does not start another; it returns
+    /// the same target with `already_building` set. Fast-fails while the
+    /// rebuild breaker is open, without spawning anything.
+    pub fn reload_background(
         &self,
         name: &str,
         mode: Option<BuildMode>,
     ) -> Result<ReloadTicket, ReloadError> {
-        let current = self
-            .get(name)
-            .ok_or_else(|| ReloadError::Failed(format!("no dataset {name:?}")))?;
-        self.admit_rebuild(name)?;
+        let current = self.admit_rebuild(name)?;
         let mut builds = self.inner.builds.lock().expect("builds lock poisoned");
         if let Some(&target_generation) = builds.get(name) {
             return Ok(ReloadTicket {
@@ -874,22 +870,64 @@ impl Engine {
         drop(builds);
 
         let engine = self.clone();
-        let owned = name.to_string();
         std::thread::spawn(move || {
-            if let Err(e) = engine.reload_with_mode(&owned, mode) {
-                eprintln!("molq-server: background reload of {owned:?} failed: {e}");
+            let name = &current.spec.name;
+            if let Err(e) = engine.rebuild(&current, mode) {
+                eprintln!("molq-server: background reload of {name:?} failed: {e}");
             }
             engine
                 .inner
                 .builds
                 .lock()
                 .expect("builds lock poisoned")
-                .remove(&owned);
+                .remove(name);
         });
         Ok(ReloadTicket {
             target_generation,
             already_building: false,
         })
+    }
+
+    /// Rebuilds `current`'s dataset and publishes it as the next generation,
+    /// feeding the outcome to the breaker. The build runs under
+    /// `catch_unwind`: a panic counts as a failed rebuild. A lost publish
+    /// race is not a build failure and leaves the breaker as it was.
+    fn rebuild(
+        &self,
+        current: &Snapshot,
+        mode: Option<BuildMode>,
+    ) -> Result<Arc<Snapshot>, ReloadError> {
+        let result = catch_unwind(AssertUnwindSafe(|| self.rebuild_unrecorded(current, mode)))
+            .unwrap_or_else(|_| {
+                Err(ReloadError::Failed(
+                    "rebuild panicked (see the server log)".into(),
+                ))
+            });
+        self.record_rebuild(&current.spec.name, &result);
+        result
+    }
+
+    /// The rebuild work itself: a fresh snapshot of `current`'s dataset,
+    /// published only if `current` is still the served generation.
+    fn rebuild_unrecorded(
+        &self,
+        current: &Snapshot,
+        mode: Option<BuildMode>,
+    ) -> Result<Arc<Snapshot>, ReloadError> {
+        crate::fault::fail_point("engine.rebuild")
+            .map_err(|e| format!("injected rebuild failure: {e}"))?;
+        let mut spec = current.spec.clone();
+        if let Some(mode) = mode {
+            spec.build = mode;
+        }
+        let derived_from = Some(current.generation);
+        if spec.paths.is_empty() {
+            self.maybe_delay_build();
+            let snapshot = Snapshot::build(spec, current.query.sets.clone(), self.exec_config())?;
+            self.publish(snapshot, derived_from)
+        } else {
+            self.load_derived(spec, derived_from).map(|(snap, _)| snap)
+        }
     }
 
     /// The effective breaker policy.
@@ -910,12 +948,15 @@ impl Engine {
             .expect("breaker config lock poisoned") = Some(cfg);
     }
 
-    /// Admission check: refuses the rebuild while the breaker is open; an
-    /// expired backoff admits one half-open probe.
-    fn admit_rebuild(&self, name: &str) -> Result<(), ReloadError> {
+    /// Admission check: the dataset's current snapshot, unless the breaker
+    /// is open; an expired backoff admits one half-open probe.
+    fn admit_rebuild(&self, name: &str) -> Result<Arc<Snapshot>, ReloadError> {
+        let current = self
+            .get(name)
+            .ok_or_else(|| ReloadError::Failed(format!("no dataset {name:?}")))?;
         let mut breakers = self.inner.breakers.lock().expect("breaker lock poisoned");
         let Some(state) = breakers.get_mut(name) else {
-            return Ok(());
+            return Ok(current);
         };
         if let Some(open_until) = state.open_until {
             let now = Instant::now();
@@ -928,18 +969,20 @@ impl Engine {
             // Half-open: admit this probe; its outcome decides what's next.
             state.open_until = None;
         }
-        Ok(())
+        Ok(current)
     }
 
     /// Feeds a rebuild outcome into the breaker: success closes it, failure
-    /// counts toward (or extends) the open state with exponential backoff.
-    fn record_rebuild<T>(&self, name: &str, result: &Result<T, String>) {
+    /// counts toward (or extends) the open state with exponential backoff. A
+    /// lost publish race says nothing about the build and changes nothing.
+    fn record_rebuild<T>(&self, name: &str, result: &Result<T, ReloadError>) {
         let mut breakers = self.inner.breakers.lock().expect("breaker lock poisoned");
         match result {
             Ok(_) => {
                 breakers.remove(name);
             }
-            Err(msg) => {
+            Err(ReloadError::Conflict(_) | ReloadError::BreakerOpen { .. }) => {}
+            Err(ReloadError::Failed(msg)) => {
                 let cfg = self.breaker_config();
                 let state = breakers.entry(name.to_string()).or_default();
                 state.consecutive_failures += 1;
@@ -1002,24 +1045,30 @@ impl Engine {
         *self.inner.build_delay.lock().expect("delay lock poisoned") = Some(d);
     }
 
-    fn publish(&self, spec: DatasetSpec, sets: Vec<ObjectSet>) -> Result<Arc<Snapshot>, String> {
-        let exec = self.exec_config();
-        self.publish_with(spec, |spec, generation| {
-            Snapshot::build(spec, sets, generation, exec)
-        })
-    }
-
-    /// Builds a snapshot (outside the lock: requests keep being served from
-    /// the old snapshot for the whole, potentially long, preparation) and
-    /// swaps it into the registry.
-    fn publish_with(
+    /// The one way a snapshot enters the registry. Callers build it outside
+    /// the lock (requests keep being served from the old snapshot for the
+    /// whole, potentially long, preparation) from the inputs of generation
+    /// `derived_from` (`None` for a first load). The swap is a
+    /// compare-and-swap under the registry write lock: it refuses with
+    /// [`ReloadError::Conflict`] when the served generation is no longer
+    /// `derived_from`, and otherwise stamps the snapshot as the next
+    /// generation. So generations are unique and strictly increasing per
+    /// dataset, and no publication silently overwrites another.
+    fn publish(
         &self,
-        spec: DatasetSpec,
-        build: impl FnOnce(DatasetSpec, u64) -> Result<Snapshot, String>,
-    ) -> Result<Arc<Snapshot>, String> {
-        let generation = self.get(&spec.name).map_or(1, |s| s.generation + 1);
-        let snapshot = Arc::new(build(spec, generation)?);
+        mut snapshot: Snapshot,
+        derived_from: Option<u64>,
+    ) -> Result<Arc<Snapshot>, ReloadError> {
         let mut map = self.inner.datasets.write().expect("engine lock poisoned");
+        let served = map.get(&snapshot.spec.name).map(|s| s.generation);
+        if served != derived_from {
+            return Err(ReloadError::Conflict(format!(
+                "dataset {:?} changed while this build was in flight; retry",
+                snapshot.spec.name
+            )));
+        }
+        snapshot.generation = served.map_or(1, |g| g + 1);
+        let snapshot = Arc::new(snapshot);
         map.insert(snapshot.spec.name.clone(), Arc::clone(&snapshot));
         Ok(snapshot)
     }
@@ -1352,25 +1401,15 @@ impl Engine {
         let query = MolqQuery::new(state.live.sets().to_vec(), state.live.bounds())
             .with_rule(StoppingRule::Either(current.spec.eps, 100_000));
         query.validate().map_err(|e| e.to_string())?;
-        let snapshot = Arc::new(Snapshot::assemble(
+        let snapshot = Snapshot::assemble(
             current.spec.clone(),
             query,
             state.live.index().clone(),
-            current.generation + 1,
             state.epoch,
             current.build_meta,
-        ));
-        let mut map = self.inner.datasets.write().expect("engine lock poisoned");
-        match map.get(&snapshot.spec.name) {
-            Some(served) if served.generation == current.generation => {
-                map.insert(snapshot.spec.name.clone(), Arc::clone(&snapshot));
-                Ok(snapshot)
-            }
-            _ => Err(format!(
-                "dataset {:?} changed while the update was in flight; retry",
-                snapshot.spec.name
-            )),
-        }
+        );
+        self.publish(snapshot, Some(current.generation))
+            .map_err(|e| e.to_string())
     }
 
     /// Brings a recovered base snapshot up to date with its journal records,
@@ -1387,11 +1426,14 @@ impl Engine {
     ///   the journal aside as `.corrupt` and publish the base alone. Every
     ///   update the base itself captured still survives — a bad journal
     ///   never costs the base, and never forces a CSV rebuild.
+    ///
+    /// Publishes as the replacement of generation `derived_from`.
     fn restore_recovered(
         &self,
         spec: &DatasetSpec,
         recovery: Recovery,
-    ) -> Result<Arc<Snapshot>, String> {
+        derived_from: Option<u64>,
+    ) -> Result<Arc<Snapshot>, ReloadError> {
         let dir = spec.snapshot_dir.as_ref().expect("restore implies dir");
         let path = journal_path(dir, &spec.name);
         let Recovery {
@@ -1463,15 +1505,11 @@ impl Engine {
                     path.display()
                 ),
             }
-            return self.publish_with(spec.clone(), |spec, generation| {
-                Snapshot::from_stored(spec, stored, generation)
-            });
+            return self.publish(Snapshot::from_stored(spec.clone(), stored)?, derived_from);
         }
 
         if records.is_empty() {
-            return self.publish_with(spec.clone(), |spec, generation| {
-                Snapshot::from_stored(spec, stored, generation)
-            });
+            return self.publish(Snapshot::from_stored(spec.clone(), stored)?, derived_from);
         }
 
         // Replay onto a copy of the base's parts, so a record that turns out
@@ -1504,9 +1542,7 @@ impl Engine {
                         path.display()
                     ),
                 }
-                return self.publish_with(spec.clone(), |spec, generation| {
-                    Snapshot::from_stored(spec, stored, generation)
-                });
+                return self.publish(Snapshot::from_stored(spec.clone(), stored)?, derived_from);
             }
             self.inner.updates.replayed.fetch_add(1, Ordering::Relaxed);
         }
@@ -1514,19 +1550,12 @@ impl Engine {
         // Reopen for appends (truncates any torn/defective tail) and publish.
         let journal =
             Journal::open_or_create(&path, &spec.name, epoch).map_err(|e| e.to_string())?;
-        let snapshot = self.publish_with(spec.clone(), |spec, generation| {
-            let query = MolqQuery::new(live.sets().to_vec(), live.bounds())
-                .with_rule(StoppingRule::Either(spec.eps, 100_000));
-            query.validate().map_err(|e| e.to_string())?;
-            Ok(Snapshot::assemble(
-                spec,
-                query,
-                live.index().clone(),
-                generation,
-                epoch,
-                base_build,
-            ))
-        })?;
+        let query = MolqQuery::new(live.sets().to_vec(), live.bounds())
+            .with_rule(StoppingRule::Either(spec.eps, 100_000));
+        query.validate().map_err(|e| e.to_string())?;
+        let snapshot =
+            Snapshot::assemble(spec.clone(), query, live.index().clone(), epoch, base_build);
+        let snapshot = self.publish(snapshot, derived_from)?;
         let entry = self.live_entry(&spec.name);
         *entry.lock().expect("live state lock poisoned") = Some(LiveState {
             live,
@@ -1600,7 +1629,7 @@ fn sets_after(sets: &[ObjectSet], update: &Update) -> Option<Vec<ObjectSet>> {
 
 /// Applies one update to a live diagram. When `inferred_bounds` is set and
 /// the update moves the dataset's inferred search space (the exact
-/// inference [`Snapshot::build`] runs), the diagram is rebuilt from scratch
+/// inference a snapshot build runs), the diagram is rebuilt from scratch
 /// over the new bounds — patching can't change the space itself. Returns
 /// the patch stats and whether the full-rebuild path ran. The live
 /// path, journal replay, and the offline `molq update` CLI call this, so
@@ -1727,7 +1756,7 @@ mod tests {
         assert_eq!(s1.set_count(), 2);
         assert_eq!(s1.object_count(), 22);
 
-        let s2 = engine.reload("d").unwrap();
+        let s2 = engine.reload("d", None).unwrap();
         assert_eq!(s2.generation, 2);
         let current = engine.get("d").unwrap();
         assert_eq!(current.generation, 2);
@@ -1748,7 +1777,7 @@ mod tests {
         let p = parallel.load_from_sets(spec("d"), sets).unwrap();
         assert_eq!(s.index.arena(), p.index.arena());
         // Reloads keep the configured parallelism and still match.
-        let r = parallel.reload("d").unwrap();
+        let r = parallel.reload("d", None).unwrap();
         assert_eq!(r.index.arena(), s.index.arena());
     }
 
@@ -1778,8 +1807,8 @@ mod tests {
     fn missing_datasets_and_empty_inputs_error() {
         let engine = Engine::new();
         assert!(engine.get("nope").is_none());
-        assert!(engine.reload("nope").is_err());
-        assert!(engine.reload_background("nope").is_err());
+        assert!(engine.reload("nope", None).is_err());
+        assert!(engine.reload_background("nope", None).is_err());
         assert!(engine.load(DatasetSpec::new("d", Vec::new())).is_err());
         assert!(engine
             .load_from_sets(DatasetSpec::new("d", Vec::new()), Vec::new())
@@ -1799,7 +1828,7 @@ mod tests {
         let snap = engine.load(spec).unwrap();
         assert_eq!(snap.set_count(), 2);
         assert_eq!(snap.object_count(), 18);
-        let re = engine.reload("files").unwrap();
+        let re = engine.reload("files", None).unwrap();
         assert_eq!(re.generation, 2);
     }
 
@@ -1884,13 +1913,19 @@ mod tests {
         std::fs::remove_file(&paths[0]).unwrap();
 
         // First failure: recorded, breaker still closed.
-        assert!(matches!(engine.reload("d"), Err(ReloadError::Failed(_))));
+        assert!(matches!(
+            engine.reload("d", None),
+            Err(ReloadError::Failed(_))
+        ));
         let report = &engine.breaker_reports()[0];
         assert_eq!(report.consecutive_failures, 1);
         assert!(report.retry_in.is_none());
 
         // Second failure reaches the threshold: breaker opens.
-        assert!(matches!(engine.reload("d"), Err(ReloadError::Failed(_))));
+        assert!(matches!(
+            engine.reload("d", None),
+            Err(ReloadError::Failed(_))
+        ));
         let report = &engine.breaker_reports()[0];
         assert_eq!(report.consecutive_failures, 2);
         assert!(report.retry_in.is_some());
@@ -1898,14 +1933,14 @@ mod tests {
 
         // While open, reloads (sync and background) fast-fail without
         // attempting a build, and the old generation keeps serving.
-        match engine.reload("d") {
+        match engine.reload("d", None) {
             Err(ReloadError::BreakerOpen { last_error, .. }) => {
                 assert!(last_error.contains("No such file"), "{last_error:?}");
             }
             other => panic!("expected BreakerOpen, got {other:?}"),
         }
         assert!(matches!(
-            engine.reload_background("d"),
+            engine.reload_background("d", None),
             Err(ReloadError::BreakerOpen { .. })
         ));
         assert_eq!(engine.get("d").unwrap().generation, 1);
@@ -1914,7 +1949,10 @@ mod tests {
         // After the backoff a half-open probe is admitted; it fails and
         // re-opens the breaker with a doubled backoff.
         std::thread::sleep(Duration::from_millis(100));
-        assert!(matches!(engine.reload("d"), Err(ReloadError::Failed(_))));
+        assert!(matches!(
+            engine.reload("d", None),
+            Err(ReloadError::Failed(_))
+        ));
         let report = &engine.breaker_reports()[0];
         assert_eq!(report.consecutive_failures, 3);
         let retry_in = report.retry_in.expect("re-opened");
@@ -1924,7 +1962,7 @@ mod tests {
         // the breaker closes, and the generation finally advances.
         std::fs::write(&paths[0], &saved).unwrap();
         std::thread::sleep(retry_in + Duration::from_millis(20));
-        let rebuilt = engine.reload("d").unwrap();
+        let rebuilt = engine.reload("d", None).unwrap();
         assert_eq!(rebuilt.generation, 2);
         assert!(engine.breaker_reports().is_empty());
         drop(dir);
@@ -2178,7 +2216,7 @@ mod tests {
         engine.set_build_delay(std::time::Duration::from_millis(150));
 
         let start = std::time::Instant::now();
-        let ticket = engine.reload_background("bg").unwrap();
+        let ticket = engine.reload_background("bg", None).unwrap();
         assert!(
             start.elapsed() < std::time::Duration::from_millis(100),
             "reload_background blocked for {:?}",
@@ -2191,7 +2229,7 @@ mod tests {
         assert_eq!(engine.builds_in_flight(), vec![("bg".to_string(), 2)]);
 
         // A second request joins the in-flight build instead of stacking.
-        let again = engine.reload_background("bg").unwrap();
+        let again = engine.reload_background("bg", None).unwrap();
         assert_eq!(again.target_generation, 2);
         assert!(again.already_building);
 
@@ -2206,6 +2244,83 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "build never cleared");
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
+    }
+
+    /// A reload derived from generation g must not publish over a live
+    /// update (or another reload) that published g + 1 while it built.
+    #[test]
+    fn racing_publications_never_share_a_generation_or_drop_an_update() {
+        let engine = Engine::new();
+        let sets: Vec<ObjectSet> = (0..3)
+            .map(|i| pseudo_set(&format!("s{i}"), 60, 40 + i))
+            .collect();
+        let base = engine.load_from_sets(spec("race"), sets).unwrap();
+        let mut objects = base.object_count();
+        let mut generations = vec![base.generation];
+        let insert = |x: f64| Update::Insert {
+            set: 0,
+            object: SpatialObject {
+                loc: Point::new(x, 50.5),
+                w_t: 1.0,
+                w_o: 1.0,
+            },
+        };
+        let wait_for_builds = |engine: &Engine| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            while !engine.builds_in_flight().is_empty() {
+                assert!(std::time::Instant::now() < deadline, "build never cleared");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        };
+        // Every rebuild takes long enough for the update below to land first.
+        engine.set_build_delay(std::time::Duration::from_millis(300));
+
+        // 1. A reload starts from generation 1; an update publishes while
+        //    it builds. The reload loses, typed, and is not a build failure.
+        let racer = engine.clone();
+        let reload = std::thread::spawn(move || racer.reload("race", None));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let update = engine.apply_update("race", &insert(50.25)).unwrap();
+        objects += 1;
+        generations.push(update.snapshot.generation);
+        match reload.join().unwrap() {
+            Err(ReloadError::Conflict(_)) => {}
+            Ok(snap) => {
+                generations.push(snap.generation);
+                assert_eq!(snap.object_count(), objects, "reload dropped the update");
+            }
+            Err(e) => panic!("unexpected reload error: {e}"),
+        }
+        assert!(engine.breaker_reports().is_empty());
+        let served = engine.get("race").unwrap();
+        assert_eq!(served.object_count(), objects, "the update was dropped");
+
+        // 2. A background reload and a blocking one start from the same
+        //    generation: exactly one publishes, as the ticket's target.
+        let ticket = engine.reload_background("race", None).unwrap();
+        assert_eq!(ticket.target_generation, served.generation + 1);
+        let blocking = engine.reload("race", None);
+        wait_for_builds(&engine);
+        let served = engine.get("race").unwrap();
+        assert_eq!(served.generation, ticket.target_generation);
+        match blocking {
+            Ok(snap) => assert!(Arc::ptr_eq(&snap, &served), "both reloads published"),
+            Err(e) => assert!(matches!(e, ReloadError::Conflict(_)), "{e}"),
+        }
+        assert_eq!(served.object_count(), objects);
+        generations.push(served.generation);
+
+        // 3. The next update builds on what is served, not on a stale
+        //    live state.
+        let update = engine.apply_update("race", &insert(50.75)).unwrap();
+        objects += 1;
+        generations.push(update.snapshot.generation);
+        assert_eq!(update.snapshot.object_count(), objects);
+        assert_eq!(engine.get("race").unwrap().object_count(), objects);
+        assert!(
+            generations.windows(2).all(|w| w[0] < w[1]),
+            "generations not strictly increasing: {generations:?}"
+        );
     }
 
     #[test]
@@ -2267,12 +2382,12 @@ mod tests {
         // Reloading with ε = 0 switches the dataset back to the exact
         // pipeline; reloading with a new ε switches forward again.
         let back = engine
-            .reload_with_mode("ap", Some(BuildMode::from_epsilon(Some(0.0))))
+            .reload("ap", Some(BuildMode::from_epsilon(Some(0.0))))
             .unwrap();
         assert!(!back.build_meta.mode.is_approx());
         assert_eq!(back.index.arena(), exact.index.arena());
         let forward = engine
-            .reload_with_mode("ap", Some(BuildMode::from_epsilon(Some(0.5))))
+            .reload("ap", Some(BuildMode::from_epsilon(Some(0.5))))
             .unwrap();
         assert!(forward.build_meta.mode.is_approx());
         assert_eq!(forward.build_meta.mode.epsilon(), 0.5);

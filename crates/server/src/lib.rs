@@ -11,14 +11,16 @@
 //! * **engine** ([`engine`]): loads CSV layers, runs the MOVD Overlapper
 //!   once, and publishes the result as an immutable [`engine::Snapshot`]
 //!   behind an `Arc` — named multi-dataset support with atomic snapshot
-//!   swaps on reload.
+//!   swaps. Loads, reloads, live updates and compactions all publish
+//!   through one compare-and-swap that assigns each dataset's generations.
 //! * **service** ([`service`]): the API — `locate`, `solve`, `topk`, the
 //!   batched `solve_batch`/`topk_batch` (one snapshot pin + one sweep per
 //!   distinct item, responses byte-identical to individual calls),
 //!   `health`, `stats`, `reload` — plus a sharded LRU cache ([`cache`]) for
 //!   `locate` keyed on quantized coordinates, and lock-free per-endpoint
-//!   metrics ([`metrics`]). Named datasets can be spread over engine
-//!   replicas with deterministic rendezvous routing ([`shard`]).
+//!   metrics ([`metrics`]). One engine holds every named dataset; its
+//!   per-dataset state (snapshot, live-update lock, breaker, in-flight
+//!   build) keeps one dataset's rebuilds from touching another's.
 //! * **transport** ([`http`]): a dependency-free HTTP/1.1 server on
 //!   `std::net` speaking the hand-rolled JSON of [`json`] — `workers`
 //!   readiness event loops ([`epoll`], Linux only) that each own their
@@ -57,7 +59,6 @@ pub mod json;
 pub mod metrics;
 pub(crate) mod proto;
 pub mod service;
-pub mod shard;
 
 pub use client::{Client, ClientResponse};
 pub use engine::{
@@ -66,4 +67,3 @@ pub use engine::{
 pub use http::{start, ServerConfig, ServerHandle};
 pub use json::Json;
 pub use service::{ApiResponse, Request, Service, ServiceConfig};
-pub use shard::ShardedEngine;

@@ -13,17 +13,16 @@
 //!   [`ServiceConfig::request_timeout`], optionally tightened per-request
 //!   with `?deadline_ms=`. Work that outlives the deadline stops at the next
 //!   checkpoint and answers `504` with partial-progress counters instead of
-//!   occupying a worker indefinitely.
+//!   holding its event loop indefinitely.
 //! * **Panic isolation.** Dispatch runs under `catch_unwind`: a panicking
 //!   handler answers `500` (and bumps `resilience.panics_caught`) while the
-//!   worker thread lives on.
+//!   event loop that called it lives on.
 
 use crate::cache::{CacheKey, LocateCache};
 use crate::engine::{Engine, ReloadError, Snapshot, UpdateError};
 use crate::fault::{self, FaultAction};
 use crate::json::Json;
 use crate::metrics::{EndpointMetrics, Metrics, ResilienceMetrics};
-use crate::shard::ShardedEngine;
 use molq_core::prelude::*;
 use molq_core::weights::wgd;
 use molq_geom::Point;
@@ -214,9 +213,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The MOLQ service: engine shards + cache + metrics.
+/// The MOLQ service: one engine + cache + metrics.
 pub struct Service {
-    engines: ShardedEngine,
+    engine: Engine,
     cache: LocateCache<LocateAnswer>,
     metrics: Metrics,
     config: ServiceConfig,
@@ -234,17 +233,10 @@ impl Service {
     /// count also becomes the engine's build parallelism, so reloads run
     /// the Overlapper on the same pool width as request scans.
     pub fn with_config(engine: Engine, config: ServiceConfig) -> Service {
-        Service::sharded(ShardedEngine::from_engine(engine), config)
-    }
-
-    /// A service over engine replicas with deterministic dataset routing
-    /// (see [`ShardedEngine`]). Single-replica construction via
-    /// [`Service::new`] is the identity case of this.
-    pub fn sharded(engines: ShardedEngine, config: ServiceConfig) -> Service {
         let exec = ExecConfig::new(config.threads);
-        engines.set_exec_config(exec);
+        engine.set_exec_config(exec);
         Service {
-            engines,
+            engine,
             cache: LocateCache::new(CACHE_SHARDS, CACHE_CAPACITY),
             metrics: Metrics::default(),
             config,
@@ -252,16 +244,10 @@ impl Service {
         }
     }
 
-    /// The first engine shard (the only one under default construction —
-    /// e.g. to load datasets after [`Service::new`]). With multiple shards,
-    /// prefer [`Service::engines`] and route by name.
+    /// The engine holding every dataset (e.g. to load datasets after
+    /// [`Service::new`]).
     pub fn engine(&self) -> &Engine {
-        &self.engines.shards()[0]
-    }
-
-    /// The sharded engine layer and its routing.
-    pub fn engines(&self) -> &ShardedEngine {
-        &self.engines
+        &self.engine
     }
 
     /// The metrics registry.
@@ -278,7 +264,7 @@ impl Service {
     ///
     /// Dispatch runs under `catch_unwind`: a panic anywhere in a handler is
     /// converted to a `500` response (and counted) instead of unwinding into
-    /// — and killing — the calling worker thread.
+    /// — and killing — the calling event loop.
     pub fn handle(&self, req: &Request) -> ApiResponse {
         let start = Instant::now();
         let endpoint = self.endpoint_for(&req.path);
@@ -378,10 +364,10 @@ impl Service {
         self.snapshot_named(name)
     }
 
-    /// Resolves `name` through the shard routing; the error body is shared
-    /// with the single-query endpoints so batch items fail byte-identically.
+    /// Resolves `name`; the error body is shared with the single-query
+    /// endpoints so batch items fail byte-identically.
     fn snapshot_named(&self, name: &str) -> Result<Arc<Snapshot>, ApiError> {
-        self.engines
+        self.engine
             .get(name)
             .ok_or_else(|| ApiError::not_found(format!("no dataset {name:?}")))
     }
@@ -642,10 +628,9 @@ impl Service {
         ))
     }
 
-    /// One distinct batch key's evaluation: resolve the snapshot through
-    /// the shard routing, validate `k`, then run the shared body builder —
-    /// the same order as the individual endpoints, so error precedence
-    /// matches too. `scans` counts only keys that actually swept (a `404`
+    /// One distinct batch key's evaluation: resolve the snapshot, validate
+    /// `k`, then run the shared body builder — the same order as the
+    /// individual endpoints, so error precedence matches too. `scans` counts only keys that actually swept (a `404`
     /// or invalid `k` does no work).
     fn batch_item_body(
         &self,
@@ -677,9 +662,9 @@ impl Service {
     /// suspended) or while the most recent durable write — journal append or
     /// snapshot save — failed (serving continues; updates answer `507`).
     fn health(&self) -> ApiResponse {
-        let names = self.engines.names();
-        let reports = self.engines.breaker_reports();
-        let durability = self.engines.durability();
+        let names = self.engine.names();
+        let reports = self.engine.breaker_reports();
+        let durability = self.engine.durability();
         let degraded = reports.iter().any(|r| r.retry_in.is_some()) || durability.degraded;
         let breakers = reports
             .iter()
@@ -738,10 +723,10 @@ impl Service {
         }
         let (hits, misses) = self.cache.counters();
         let datasets = self
-            .engines
+            .engine
             .names()
             .iter()
-            .filter_map(|n| self.engines.get(n))
+            .filter_map(|n| self.engine.get(n))
             .map(|s| {
                 Json::obj()
                     .set("name", s.spec.name.as_str())
@@ -761,10 +746,10 @@ impl Service {
             })
             .collect::<Vec<_>>();
         let approx = self
-            .engines
+            .engine
             .names()
             .iter()
-            .filter_map(|n| self.engines.get(n))
+            .filter_map(|n| self.engine.get(n))
             .filter(|s| s.build_meta.mode.is_approx())
             .map(|s| {
                 let b = &s.build_meta;
@@ -780,7 +765,7 @@ impl Service {
             })
             .collect::<Vec<_>>();
         let builds = self
-            .engines
+            .engine
             .builds_in_flight()
             .into_iter()
             .map(|(name, generation)| {
@@ -812,7 +797,7 @@ impl Service {
             .set("last_groups_evaluated", last_evaluated)
             .set("last_groups_pruned", last_pruned)
             .set("last_scan_us", last_us);
-        let u = self.engines.update_stats();
+        let u = self.engine.update_stats();
         let updates = Json::obj()
             .set("applied", u.applied)
             .set("rejected", u.rejected)
@@ -822,12 +807,12 @@ impl Service {
             .set("cells_reclipped", u.cells_reclipped)
             .set("patch_time_us", u.patch_micros_total)
             .set("last_patch_us", u.last_patch_micros);
-        let ar = self.engines.arena_stats();
+        let ar = self.engine.arena_stats();
         let buffers = self
-            .engines
+            .engine
             .names()
             .iter()
-            .filter_map(|n| self.engines.get(n))
+            .filter_map(|n| self.engine.get(n))
             .map(|s| {
                 let b = s.index.arena().buffer_bytes();
                 Json::obj()
@@ -847,7 +832,7 @@ impl Service {
             .set("last_restore_validate_us", ar.last_restore_validate_micros)
             .set("segments_copied_total", ar.segments_copied_total)
             .set("last_segments_copied", ar.last_segments_copied);
-        let dr = self.engines.durability();
+        let dr = self.engine.durability();
         let durability = Json::obj()
             .set("append_failures", dr.append_failures)
             .set("save_retries", dr.save_retries)
@@ -884,25 +869,6 @@ impl Service {
             .set("last_items", last_items)
             .set("last_scans", last_scans)
             .set("last_batch_us", last_batch_us);
-        let shard_rows = self
-            .engines
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let names = shard.names();
-                Json::obj()
-                    .set("shard", i)
-                    .set("datasets", names.len())
-                    .set(
-                        "names",
-                        names.into_iter().map(Json::Str).collect::<Vec<_>>(),
-                    )
-            })
-            .collect::<Vec<_>>();
-        let shards = Json::obj()
-            .set("count", self.engines.shard_count())
-            .set("assignments", shard_rows);
         ApiResponse::ok(
             Json::obj()
                 .set("endpoints", endpoints)
@@ -922,8 +888,7 @@ impl Service {
                 .set("arena_stats", arena_stats)
                 .set("durability", durability)
                 .set("transport", transport)
-                .set("batch", batch)
-                .set("shards", shards),
+                .set("batch", batch),
         )
     }
 
@@ -935,7 +900,8 @@ impl Service {
     /// publish as; requests keep being served from the old snapshot until the
     /// swap. A repeated reload while a build is in flight joins it
     /// (`already_building: true`) rather than stacking builds. `wait=1` keeps
-    /// the old synchronous behaviour: block until the swap and answer `200`.
+    /// the old synchronous behaviour: block until the swap and answer `200`,
+    /// or `409` when a live update or another reload published first.
     fn reload(&self, req: &Request) -> Result<ApiResponse, ApiError> {
         if req.method != "POST" {
             return Err(ApiError::bad_request("reload requires POST".into()));
@@ -959,10 +925,7 @@ impl Service {
             }
         };
         if matches!(req.param("wait"), Some("1") | Some("true")) {
-            let snap = self
-                .engines
-                .reload_with_mode(name, mode)
-                .map_err(reload_error)?;
+            let snap = self.engine.reload(name, mode).map_err(reload_error)?;
             return Ok(ApiResponse::ok(
                 Json::obj()
                     .set("dataset", snap.spec.name.as_str())
@@ -980,9 +943,8 @@ impl Service {
             ));
         }
         let ticket = self
-            .engines
-            .engine_for(name)
-            .reload_background_with_mode(name, mode)
+            .engine
+            .reload_background(name, mode)
             .map_err(reload_error)?;
         Ok(ApiResponse::accepted(
             Json::obj()
@@ -1016,7 +978,7 @@ impl Service {
             return Err(ApiError::not_found(format!("no route {:?}", req.path)));
         };
         let snap = self
-            .engines
+            .engine
             .get(name)
             .ok_or_else(|| ApiError::not_found(format!("no dataset {name:?}")))?;
         let set = resolve_set(&snap, req)?;
@@ -1051,8 +1013,7 @@ impl Service {
             Update::Remove { .. } => "remove",
         };
         let outcome = self
-            .engines
-            .engine_for(name)
+            .engine
             .apply_update(name, &update)
             .map_err(|e| match e {
                 UpdateError::NotFound(m) => ApiError::not_found(m),
@@ -1219,7 +1180,8 @@ fn parse_batch_items(req: &Request, kind: BatchKind) -> Result<Vec<BatchItem>, A
 }
 
 /// Maps a rebuild error: open breaker → `503` + `Retry-After` (rounded up
-/// to whole seconds), anything else → `400`.
+/// to whole seconds), a lost publish race → `409` (as for live updates),
+/// anything else → `400`.
 fn reload_error(e: ReloadError) -> ApiError {
     let message = e.to_string();
     match e {
@@ -1227,6 +1189,7 @@ fn reload_error(e: ReloadError) -> ApiError {
             retry_after: Some((retry_in.as_millis().div_ceil(1000).max(1)) as u64),
             ..ApiError::new(503, message)
         },
+        ReloadError::Conflict(_) => ApiError::new(409, message),
         ReloadError::Failed(_) => ApiError::bad_request(message),
     }
 }
@@ -1532,6 +1495,33 @@ mod tests {
         let health = svc.handle(&Request::get("/health", &[]));
         assert_eq!(health.body.get("status").unwrap().as_str(), Some("ok"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reload_that_loses_to_an_update_answers_409() {
+        let svc = service(Boundary::Rrb);
+        let post = |path: &str, params: &[(&str, &str)]| Request {
+            method: "POST".into(),
+            ..Request::get(path, params)
+        };
+        svc.engine().set_build_delay(Duration::from_millis(300));
+        std::thread::scope(|scope| {
+            let reload = scope.spawn(|| svc.handle(&post("/reload", &[("wait", "1")])));
+            std::thread::sleep(Duration::from_millis(20));
+            let insert = svc.handle(&post(
+                "/datasets/default/objects",
+                &[("set", "a"), ("x", "33.25"), ("y", "44.5")],
+            ));
+            assert_eq!(insert.status, 200, "{:?}", insert.body);
+            let reload = reload.join().unwrap();
+            assert_eq!(reload.status, 409, "{:?}", reload.body);
+        });
+        // The update is what serves, and the lost race tripped no breaker.
+        let served = svc.engine().get("default").unwrap();
+        assert_eq!(served.generation, 2);
+        let health = svc.handle(&Request::get("/health", &[]));
+        assert_eq!(health.body.get("status").unwrap().as_str(), Some("ok"));
+        assert!(svc.engine().breaker_reports().is_empty());
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! 4. failing rebuilds → circuit breaker opens, `/health` degrades, reloads
 //!    shed `503` + `Retry-After`, the old generation serves byte-for-byte,
 //!    and the breaker recovers after the backoff;
-//! 5. snapshot read corruption → engine falls back to a CSV rebuild.
+//! 5. a panicking background rebuild → counted as a failed rebuild, its
+//!    in-flight entry cleared, and the next reload builds and publishes;
+//! 6. snapshot read corruption → engine falls back to a CSV rebuild.
 
 // Serving runs on epoll: Linux only.
 #![cfg(target_os = "linux")]
@@ -59,6 +61,33 @@ fn fixture(tag: &str) -> (PathBuf, Vec<PathBuf>) {
         })
         .collect();
     (dir, paths)
+}
+
+/// Polls `/stats` until no build is in flight; the served generation of
+/// the default dataset.
+fn wait_for_builds(client: &mut Client) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = client.get("/stats").unwrap();
+        assert_eq!(stats.status, 200, "{:?}", stats.body);
+        if stats
+            .body
+            .get("builds")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .is_empty()
+        {
+            let datasets = stats.body.get("datasets").unwrap().as_arr().unwrap();
+            return datasets[0].get("generation").unwrap().as_u64().unwrap();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "build still in flight: {:?}",
+            stats.body
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 fn resilience_counter(client: &mut Client, name: &str) -> u64 {
@@ -224,9 +253,49 @@ fn chaos_server_survives_injected_faults() {
         .unwrap()
         .is_empty());
 
+    // --- 5. A panicking background build is a failed rebuild, not a wedge.
+    fault::arm_spec("engine.rebuild=panic*1").unwrap();
+    let panicked = client.post("/reload").unwrap();
+    assert_eq!(panicked.status, 202, "{:?}", panicked.body);
+    assert_eq!(
+        panicked.body.get("already_building"),
+        Some(&Json::Bool(false))
+    );
+    assert_eq!(wait_for_builds(&mut client), 2);
+    let health = client.get("/health").unwrap();
+    let breakers = health.body.get("breakers").unwrap().as_arr().unwrap();
+    assert_eq!(breakers.len(), 1, "{breakers:?}");
+    assert_eq!(
+        breakers[0].get("consecutive_failures").unwrap().as_u64(),
+        Some(1)
+    );
+    assert!(breakers[0]
+        .get("last_error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("panicked"));
+    // The next reload starts a new build, which publishes.
+    let rebuilt = client.post("/reload").unwrap();
+    assert_eq!(rebuilt.status, 202, "{:?}", rebuilt.body);
+    assert_eq!(
+        rebuilt.body.get("already_building"),
+        Some(&Json::Bool(false))
+    );
+    assert_eq!(rebuilt.body.get("generation").unwrap().as_u64(), Some(3));
+    assert_eq!(wait_for_builds(&mut client), 3);
+    let health = client.get("/health").unwrap();
+    assert!(health
+        .body
+        .get("breakers")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .is_empty());
+
     handle.shutdown();
 
-    // --- 5. Snapshot read corruption: restore is abandoned, the engine
+    // --- 6. Snapshot read corruption: restore is abandoned, the engine
     // rebuilds from CSVs and still serves.
     let (dir, paths) = fixture("snapshot");
     let spec = DatasetSpec {

@@ -6,17 +6,18 @@
 //! * a slow-loris connection (header drip, then silence) is reaped without
 //!   wedging concurrent well-behaved clients;
 //! * a client that closes mid-exchange doesn't take the server down;
-//! * sharded dataset routing resolves every dataset over HTTP.
+//! * several datasets on one engine all resolve over HTTP;
+//! * a dataset whose rebuilds keep failing trips only its own breaker.
 
 // Serving runs on epoll: Linux only.
 #![cfg(target_os = "linux")]
 
 use molq_core::prelude::*;
 use molq_geom::{Mbr, Point};
-use molq_server::engine::{DatasetSpec, Engine};
+use molq_server::engine::{BreakerConfig, DatasetSpec, Engine};
 use molq_server::http::{start, ServerConfig};
 use molq_server::service::{Service, ServiceConfig};
-use molq_server::{Client, Json, ShardedEngine};
+use molq_server::{Client, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -56,10 +57,10 @@ fn load_dataset(engine: &Engine, name: &str, seed: u64) {
 }
 
 fn sample_service() -> Arc<Service> {
-    let engines = ShardedEngine::new(1);
-    load_dataset(engines.engine_for("default"), "default", 81);
-    load_dataset(engines.engine_for("beta"), "beta", 91);
-    Arc::new(Service::sharded(engines, ServiceConfig::default()))
+    let engine = Engine::new();
+    load_dataset(&engine, "default", 81);
+    load_dataset(&engine, "beta", 91);
+    Arc::new(Service::new(engine))
 }
 
 fn config() -> ServerConfig {
@@ -270,23 +271,14 @@ fn premature_close_leaves_the_server_serving() {
 }
 
 #[test]
-fn sharded_datasets_resolve_over_http() {
-    let engines = ShardedEngine::new(3);
+fn datasets_on_one_engine_resolve_over_http() {
+    let engine = Engine::new();
     let names = ["default", "alpha", "beta", "gamma", "delta"];
     for (i, name) in names.iter().enumerate() {
-        load_dataset(engines.engine_for(name), name, 100 + i as u64 * 10);
+        load_dataset(&engine, name, 100 + i as u64 * 10);
     }
-    // Routing is deterministic and uses more than one shard for this set.
-    let expected: Vec<usize> = names.iter().map(|n| engines.shard_of(n)).collect();
-    let distinct = {
-        let mut d = expected.clone();
-        d.sort_unstable();
-        d.dedup();
-        d.len()
-    };
-    assert!(distinct > 1, "all of {names:?} landed on one shard");
 
-    let service = Arc::new(Service::sharded(engines, ServiceConfig::default()));
+    let service = Arc::new(Service::with_config(engine, ServiceConfig::default()));
     let handle = start(Arc::clone(&service), config()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
     for name in names {
@@ -294,22 +286,22 @@ fn sharded_datasets_resolve_over_http() {
         assert_eq!(resp.status, 200, "{name}: {:?}", resp.body);
         assert_eq!(resp.body.get("dataset").unwrap().as_str(), Some(name));
     }
-    // /health lists every dataset across shards; /stats describes the
-    // shard layout.
+    // /health lists every dataset.
     let health = client.get("/health").unwrap();
-    let listed = health.body.get("datasets").unwrap().as_arr().unwrap();
-    assert_eq!(listed.len(), names.len());
-    let stats = client.get("/stats").unwrap();
-    let shards = stats.body.get("shards").unwrap();
-    assert_eq!(shards.get("count").unwrap().as_u64(), Some(3));
-    let rows = shards.get("assignments").unwrap().as_arr().unwrap();
-    assert_eq!(rows.len(), 3);
-    let total: u64 = rows
+    let mut listed: Vec<&str> = health
+        .body
+        .get("datasets")
+        .unwrap()
+        .as_arr()
+        .unwrap()
         .iter()
-        .map(|r| r.get("datasets").unwrap().as_u64().unwrap())
-        .sum();
-    assert_eq!(total, names.len() as u64);
-    // A batch addressed across shards answers every item.
+        .map(|n| n.as_str().unwrap())
+        .collect();
+    listed.sort_unstable();
+    let mut expected = names.to_vec();
+    expected.sort_unstable();
+    assert_eq!(listed, expected);
+    // A batch addressed across datasets answers every item.
     let body = Json::from(
         names
             .iter()
@@ -324,5 +316,73 @@ fn sharded_datasets_resolve_over_http() {
     for (name, item) in names.iter().zip(results) {
         assert_eq!(item.get("status").unwrap().as_u64(), Some(200), "{name}");
     }
+    handle.shutdown();
+}
+
+#[test]
+fn a_failing_dataset_trips_only_its_own_breaker() {
+    let dir = std::env::temp_dir().join("molq_transport_e2e_isolation");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let engine = Engine::new();
+    engine.set_breaker_config(BreakerConfig {
+        threshold: 2,
+        base_backoff: Duration::from_secs(60),
+        max_backoff: Duration::from_secs(60),
+    });
+    for (i, name) in ["steady", "doomed"].into_iter().enumerate() {
+        let paths = ["a", "b"]
+            .iter()
+            .enumerate()
+            .map(|(j, layer)| {
+                let path = dir.join(format!("{name}_{layer}.csv"));
+                let set = pseudo_set(layer, 10, 200 + (2 * i + j) as u64);
+                let mut f = std::fs::File::create(&path).unwrap();
+                molq_datagen::csv::write_csv(&set, &mut f).unwrap();
+                path
+            })
+            .collect();
+        engine
+            .load(DatasetSpec {
+                bounds: Some(Mbr::new(0.0, 0.0, 100.0, 100.0)),
+                ..DatasetSpec::new(name, paths)
+            })
+            .unwrap();
+    }
+    let service = Arc::new(Service::new(engine));
+    let handle = start(Arc::clone(&service), config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // Without one of its CSVs, every rebuild of `doomed` fails until its
+    // breaker opens.
+    std::fs::remove_file(dir.join("doomed_a.csv")).unwrap();
+    for _ in 0..2 {
+        let failed = client.post("/reload?dataset=doomed&wait=1").unwrap();
+        assert_eq!(failed.status, 400, "{:?}", failed.body);
+    }
+    let shed = client.post("/reload?dataset=doomed&wait=1").unwrap();
+    assert_eq!(shed.status, 503, "{:?}", shed.body);
+
+    // `steady` still reloads, publishes and answers; `doomed` keeps serving
+    // its last good generation.
+    let reloaded = client.post("/reload?dataset=steady&wait=1").unwrap();
+    assert_eq!(reloaded.status, 200, "{:?}", reloaded.body);
+    assert_eq!(reloaded.body.get("generation").unwrap().as_u64(), Some(2));
+    for (name, generation) in [("steady", 2), ("doomed", 1)] {
+        let solve = client.get(&format!("/solve?dataset={name}")).unwrap();
+        assert_eq!(solve.status, 200, "{name}: {:?}", solve.body);
+        assert_eq!(
+            solve.body.get("generation").unwrap().as_u64(),
+            Some(generation),
+            "{name}"
+        );
+    }
+
+    // Only the failing dataset shows up in /health's breakers.
+    let health = client.get("/health").unwrap();
+    let breakers = health.body.get("breakers").unwrap().as_arr().unwrap();
+    assert_eq!(breakers.len(), 1, "{breakers:?}");
+    assert_eq!(breakers[0].get("dataset").unwrap().as_str(), Some("doomed"));
+    assert_eq!(breakers[0].get("open"), Some(&Json::Bool(true)));
     handle.shutdown();
 }

@@ -2,7 +2,7 @@
 //!
 //! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) checksums the
 //! snapshot-container sections and journal records; FNV-1a 64 fingerprints
-//! source CSVs and scores rendezvous shard routing. Both used to be
+//! source CSVs. Both used to be
 //! duplicated per call site — this module deduplicates them behind
 //! incremental hashers ([`Crc32`], [`Fnv64`]) plus one-shot helpers, and the
 //! tests cross-check the table-driven CRC against a bit-at-a-time reference

@@ -1,7 +1,7 @@
 //! Incrementally maintained ordinary Voronoi diagrams, bit-identical to a
 //! from-scratch [`OrdinaryVoronoi`] build after every update.
 //!
-//! [`OrdinaryVoronoi::cell_of_site`] computes each cell as a pure function
+//! `OrdinaryVoronoi::cell_of_site` computes each cell as a pure function
 //! of the site set (through kd-tree nearest-neighbour queries), so any cell
 //! may be recomputed in isolation. The trick is knowing which cells an
 //! insert or remove can possibly change *without* recomputing all of them.
