@@ -832,6 +832,7 @@ fn install_sigint_handler() {}
 fn serve(flags: &Flags) -> Result<String, String> {
     use molq_server::engine::{DatasetSpec, Engine};
     use molq_server::http::{start, ServerConfig};
+    use molq_server::metrics::Route;
     use molq_server::service::{Service, ServiceConfig};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -941,11 +942,9 @@ fn serve(flags: &Flags) -> Result<String, String> {
     }
     handle.shutdown();
 
-    let served: u64 = service
-        .metrics()
-        .endpoints()
+    let served: u64 = Route::ALL
         .iter()
-        .map(|(_, m)| m.requests())
+        .map(|&r| service.metrics().requests(r))
         .sum();
     let _ = writeln!(out, "served    : {served} requests");
     Ok(out)

@@ -103,15 +103,12 @@ impl BuildMode {
     }
 }
 
-/// A staged build request: the mode plus the refinement safety caps.
+/// A staged build request. Approximate builds refine under
+/// [`ApproxConfig`]'s default safety caps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildPlan {
     /// The construction mode.
     pub mode: BuildMode,
-    /// Quadtree depth cap (approximate mode only).
-    pub max_depth: u32,
-    /// Visited-cell cap (approximate mode only).
-    pub max_cells: usize,
 }
 
 impl BuildPlan {
@@ -125,13 +122,9 @@ impl BuildPlan {
         BuildPlan::for_mode(BuildMode::from_epsilon(Some(epsilon)))
     }
 
-    /// A plan for a mode with the default caps.
+    /// A plan for a mode.
     pub fn for_mode(mode: BuildMode) -> Self {
-        BuildPlan {
-            mode,
-            max_depth: 40,
-            max_cells: 1 << 30,
-        }
+        BuildPlan { mode }
     }
 }
 
@@ -229,9 +222,7 @@ pub fn build_movd(
             },
         })
         .collect();
-    let mut cfg = ApproxConfig::new(epsilon);
-    cfg.max_depth = plan.max_depth;
-    cfg.max_cells = plan.max_cells;
+    let cfg = ApproxConfig::new(epsilon);
 
     // Coalesce leaves by object group: groups index OVRs in first-seen
     // (deterministic) order; canonicalize() then sorts exactly like the

@@ -122,21 +122,22 @@ pub fn solve_group_bounded_with(
     config: CostBoundConfig,
 ) -> GroupOutcome {
     debug_assert!(constant >= 0.0);
-    let offset = |mut s: FwSolution| {
+    // The exact small-group solvers still iterate (an interior 3-point
+    // optimum runs Weiszfeld to machine precision); count that work too.
+    let mut solved_exactly = |mut s: FwSolution| {
+        stats.exact_groups += 1;
+        stats.iterations += s.iterations;
         s.cost += constant;
-        s
+        GroupOutcome::Solved(s)
     };
     if g.len() <= 2 {
-        stats.exact_groups += 1;
-        return GroupOutcome::Solved(offset(crate::weiszfeld::solve(g, rule)));
+        return solved_exactly(crate::weiszfeld::solve(g, rule));
     }
     if exact::is_collinear(g) {
-        stats.exact_groups += 1;
-        return GroupOutcome::Solved(offset(exact::collinear(g)));
+        return solved_exactly(exact::collinear(g));
     }
     if g.len() == 3 {
-        stats.exact_groups += 1;
-        return GroupOutcome::Solved(offset(exact::three_point(&[g[0], g[1], g[2]])));
+        return solved_exactly(exact::three_point(&[g[0], g[1], g[2]]));
     }
     // Two-point prefilter: the pair optimum cost (plus the full constant)
     // lower-bounds the group cost at any location.
@@ -304,6 +305,31 @@ mod tests {
         // The single point gives cost 0, unbeatable.
         assert_eq!(sol.group, 0);
         assert_eq!(sol.cost, 0.0);
+    }
+
+    #[test]
+    fn exact_branches_count_their_iterations() {
+        // An interior 3-point optimum iterates to machine precision.
+        let g = [wp(0.0, 0.0, 1.0), wp(10.0, 0.0, 1.0), wp(5.0, 8.0, 1.0)];
+        let direct = exact::three_point(&g);
+        assert!(direct.iterations > 0);
+        let mut stats = BatchStats::default();
+        let rule = StoppingRule::ErrorBound(1e-6);
+        let GroupOutcome::Solved(sol) =
+            solve_group_bounded(&g, 0.5, rule, f64::INFINITY, &mut stats)
+        else {
+            panic!("an unbounded exact group is always solved");
+        };
+        assert_eq!(stats.exact_groups, 1);
+        assert_eq!(stats.iterations, direct.iterations);
+        // Counting changes no answer.
+        assert_eq!(sol.location, direct.location);
+        assert_eq!(sol.cost, direct.cost + 0.5);
+        // A vertex optimum is closed-form: nothing to count.
+        let mut stats = BatchStats::default();
+        let vertex = [wp(0.0, 0.0, 5.0), wp(9.0, 0.0, 1.0), wp(0.0, 9.0, 1.0)];
+        solve_group_bounded(&vertex, 0.0, rule, f64::INFINITY, &mut stats);
+        assert_eq!((stats.exact_groups, stats.iterations), (1, 0));
     }
 
     #[test]

@@ -21,12 +21,16 @@
 //! ticket immediately and swaps the new snapshot in when the build finishes,
 //! so an HTTP reload does not hold a connection open for the whole overlap.
 //!
-//! Every publication — load, reload, live update, compaction — goes through
-//! one compare-and-swap (`Engine::publish`): it assigns the dataset's next
-//! generation under the registry write lock, and refuses when the served
-//! generation is no longer the one the new snapshot was derived from. A
-//! reload that loses to a live update fails with [`ReloadError::Conflict`]
-//! instead of silently dropping the update.
+//! Every publication — load, reload, live update, compaction — holds the
+//! dataset's live-update lock while it assigns the dataset's next
+//! generation under the registry write lock. A live update holds that lock
+//! from reading the served snapshot through its journal append to its
+//! publication, so it can never lose. A snapshot that replaces the
+//! dataset's inputs (`Engine::publish`) is a compare-and-swap instead: it
+//! refuses when the served generation is no longer the one it was derived
+//! from, so a reload that loses to a live update fails with
+//! [`ReloadError::Conflict`] instead of silently dropping the update. A CSV
+//! build saves its base and drops the old journal under the same lock.
 //!
 //! Rebuilds are guarded by a per-dataset **circuit breaker**
 //! ([`BreakerConfig`]): after `threshold` consecutive build failures the
@@ -38,19 +42,19 @@
 //! backoff. `/health` surfaces open breakers as `degraded` with the last
 //! build error.
 
+use crate::metrics::{Metric, Registry};
 use molq_core::prelude::*;
 use molq_datagen::csv::read_csv;
 use molq_fw::StoppingRule;
 use molq_geom::{Mbr, Point};
 use molq_store::{
-    journal_path, recover, set_aside_journal, sweep_tmp, DecodeTimings, Journal,
-    JournalDisposition, JournalRecord, RealVfs, Recovery, SourceFingerprint, StoredSnapshot, Vfs,
+    journal_path, recover, set_aside_journal, sweep_tmp, Journal, JournalDisposition,
+    JournalRecord, RealVfs, Recovery, SourceFingerprint, StoredSnapshot, Vfs,
 };
 use std::collections::HashMap;
 use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -363,7 +367,9 @@ pub struct ReloadTicket {
 
 /// Mutable live-update state of one dataset: the incremental diagram (kept
 /// bit-consistent with the published snapshot) and its journal handle. Held
-/// behind a per-dataset mutex so updates serialize without blocking reads.
+/// behind a per-dataset mutex so updates serialize without blocking reads;
+/// every publication of the dataset holds that mutex too, and one that
+/// replaces the dataset's inputs clears the state, so it never goes stale.
 #[derive(Debug)]
 struct LiveState {
     live: LiveMovd,
@@ -371,49 +377,22 @@ struct LiveState {
     journal: Option<Journal>,
     /// Epoch of the base this state's journal binds to.
     epoch: u64,
-    /// Generation of the published snapshot this state mirrors. A mismatch
-    /// (some reload published in between) makes the state stale; it is
-    /// rehydrated from the current snapshot before the next update.
-    generation: u64,
 }
 
-/// Counters for the live-update subsystem (`/stats` → `updates`).
-#[derive(Debug, Default)]
-struct UpdateStats {
-    applied: AtomicU64,
-    rejected: AtomicU64,
-    replayed: AtomicU64,
-    compactions: AtomicU64,
-    full_rebuilds: AtomicU64,
-    patch_micros: AtomicU64,
-    last_patch_micros: AtomicU64,
-    cells_reclipped: AtomicU64,
-}
-
-/// A point-in-time copy of the live-update counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UpdateStatsReport {
-    /// Updates applied through [`Engine::apply_update`].
-    pub applied: u64,
-    /// Updates rejected by validation (duplicate coordinates, bad indices,
-    /// emptying a set, injected faults).
-    pub rejected: u64,
-    /// Journal records replayed during snapshot restores.
-    pub replayed: u64,
-    /// Journal compactions performed.
-    pub compactions: u64,
-    /// Updates that took the full-rebuild path (inferred bounds moved).
-    pub full_rebuilds: u64,
-    /// Total wall time spent patching, microseconds.
-    pub patch_micros_total: u64,
-    /// Wall time of the most recent patch, microseconds.
-    pub last_patch_micros: u64,
-    /// Total basic-diagram cells re-clipped across all patches.
-    pub cells_reclipped: u64,
+/// What a publication that replaces a dataset's inputs does with the
+/// dataset's update state, under the same live-update lock as the swap.
+enum Handover {
+    /// Nothing to keep: the next update rehydrates from the new snapshot.
+    Rehydrate,
+    /// A fresh CSV build: save it as the dataset's base (when the spec
+    /// persists) and drop the journal of the replaced base.
+    Persist(SourceFingerprint),
+    /// A restore that replayed its journal: keep the replayed live state.
+    Resume(Box<LiveState>),
 }
 
 /// Why a live update failed, typed so callers can answer with the right
-/// status code (the service maps these to 404/400/409/507).
+/// status code (the service maps these to 404/400/507).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateError {
     /// The dataset does not exist.
@@ -421,9 +400,6 @@ pub enum UpdateError {
     /// Validation rejected the update (duplicate coordinates, bad indices,
     /// emptying a set, injected faults). Nothing changed.
     Rejected(String),
-    /// The dataset was republished while the update was in flight; the
-    /// update was not applied and is safe to retry.
-    Conflict(String),
     /// The update could not be made durable (journal append or live-state
     /// storage failed). The in-memory state was rolled back; the published
     /// snapshot is unchanged.
@@ -433,99 +409,35 @@ pub enum UpdateError {
 impl std::fmt::Display for UpdateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            UpdateError::NotFound(m)
-            | UpdateError::Rejected(m)
-            | UpdateError::Conflict(m)
-            | UpdateError::Durability(m) => f.write_str(m),
+            UpdateError::NotFound(m) | UpdateError::Rejected(m) | UpdateError::Durability(m) => {
+                f.write_str(m)
+            }
         }
     }
 }
 
 impl std::error::Error for UpdateError {}
 
-/// Counters for the storage-durability subsystem (`/stats` → `durability`).
-/// Tracks how often the crash-consistency machinery had to act: failed
-/// write-ahead appends, snapshot-save retries, journal salvages.
-#[derive(Debug, Default)]
-struct DurabilityStats {
-    append_failures: AtomicU64,
-    save_retries: AtomicU64,
-    save_failures: AtomicU64,
-    salvages: AtomicU64,
-    torn_tails: AtomicU64,
-    journals_set_aside: AtomicU64,
-    tmp_swept: AtomicU64,
-    /// 1 while the most recent durable-write attempt failed; cleared by the
-    /// next successful append or save. Surfaces on `/health` as `degraded`.
-    degraded: AtomicU64,
-    last_error: Mutex<Option<String>>,
-}
-
-impl DurabilityStats {
-    /// Records a durable-write failure: bumps `counter`, flips the engine
-    /// into the degraded state, and remembers the error for `/health`.
-    fn note_failure(&self, counter: &AtomicU64, err: &str) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.degraded.store(1, Ordering::Relaxed);
-        *self.last_error.lock().expect("durability lock poisoned") = Some(err.to_string());
-    }
-
-    /// A durable write succeeded: storage is healthy again.
-    fn note_durable_ok(&self) {
-        self.degraded.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Counters for the arena layout (`/stats` → `arena_stats`): how the most
-/// recent snapshot restore's decode wall time split between bulk lane copies
-/// and structural validation, and how many contiguous arena segments the
-/// copy-on-write publish path copied per live-update patch.
-#[derive(Debug, Default)]
-struct ArenaStats {
-    last_restore_copy_micros: AtomicU64,
-    last_restore_validate_micros: AtomicU64,
-    segments_copied_total: AtomicU64,
-    last_segments_copied: AtomicU64,
-}
-
-/// A point-in-time copy of the arena counters.
+/// How the most recent snapshot restore's decode wall time split between
+/// bulk lane copies and structural validation: a view over the registry's
+/// `arena_stats` gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaStatsReport {
     /// Bulk lane-copy share of the most recent restore's decode, µs.
     pub last_restore_copy_micros: u64,
     /// Structural-validation share of the most recent restore's decode, µs.
     pub last_restore_validate_micros: u64,
-    /// Contiguous arena segments copied across all live-update patches.
-    pub segments_copied_total: u64,
-    /// Segments the most recent patch copied (0 for a full rebuild).
-    pub last_segments_copied: u64,
 }
 
-/// A point-in-time copy of the durability counters.
+/// Storage health, as `/health` and `/stats` report it. The counts of what
+/// the crash-consistency machinery did live in the registry's `durability`
+/// section.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DurabilityReport {
-    /// Write-ahead journal appends that failed (each one failed its update
-    /// with [`UpdateError::Durability`]).
-    pub append_failures: u64,
-    /// Snapshot-save attempts retried after a transient failure.
-    pub save_retries: u64,
-    /// Snapshot saves that failed even after retries.
-    pub save_failures: u64,
-    /// Journals whose defective tail was salvaged on restore (the valid
-    /// record prefix replayed; the rest dropped).
-    pub salvages: u64,
-    /// Journals that ended in a torn (partial) record on restore — the
-    /// crash-mid-append fingerprint. The complete prefix replayed.
-    pub torn_tails: u64,
-    /// Journals set aside as untrusted (defective header, stale epoch, or
-    /// records that no longer apply to the base).
-    pub journals_set_aside: u64,
-    /// Orphaned atomic-write temp files removed by the startup/pre-save
-    /// sweep.
-    pub tmp_swept: u64,
-    /// `true` while the most recent durable-write attempt failed.
+    /// `true` while the most recent durable-write attempt (journal append
+    /// or snapshot save) failed; cleared by the next one that succeeds.
     pub degraded: bool,
-    /// The error that degraded the engine, if any.
+    /// The error that last degraded the engine, if any.
     pub last_error: Option<String>,
 }
 
@@ -549,12 +461,10 @@ struct EngineInner {
     exec_threads: std::sync::atomic::AtomicUsize,
     /// Dataset name → live-update state (incremental diagram + journal).
     live: Mutex<HashMap<String, Arc<Mutex<Option<LiveState>>>>>,
-    /// Live-update counters.
-    updates: UpdateStats,
-    /// Storage-durability counters (journal salvage, save retries, sweeps).
-    durability: DurabilityStats,
-    /// Arena-layout counters (restore decode split, patch segment copies).
-    arena: ArenaStats,
+    /// Every counter, gauge and latency histogram of the server.
+    metrics: Registry,
+    /// Storage health (`/health` → `durability`).
+    durability: Mutex<DurabilityReport>,
     /// Dataset name → target generation of the build currently in flight.
     builds: Mutex<HashMap<String, u64>>,
     /// Dataset name → rebuild circuit-breaker state.
@@ -565,7 +475,15 @@ struct EngineInner {
     /// observe the non-blocking reload window deterministically.
     #[cfg(test)]
     build_delay: Mutex<Option<std::time::Duration>>,
+    /// Test hook: named points where the engine pauses once, signalling
+    /// the first channel and then waiting on the second.
+    #[cfg(test)]
+    holds: Mutex<HashMap<&'static str, Hold>>,
 }
+
+/// A test hold: the channel signalled on arrival, and the one waited on.
+#[cfg(test)]
+type Hold = (std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>);
 
 /// The snapshot registry: dataset name → current [`Snapshot`].
 ///
@@ -671,8 +589,8 @@ impl Engine {
         let snap = self.publish(
             Snapshot::build(spec, sets, self.exec_config())?,
             derived_from,
+            Handover::Persist(fingerprint),
         )?;
-        self.persist(&snap, fingerprint);
         Ok((snap, LoadOutcome::BuiltFromCsv))
     }
 
@@ -755,11 +673,10 @@ impl Engine {
     /// `engine.snapshot_save` fault point.
     fn save_with_retry(&self, stored: &StoredSnapshot, path: &Path) -> Result<(), String> {
         const ATTEMPTS: u32 = 3;
-        let d = &self.inner.durability;
         let mut last = String::new();
         for attempt in 0..ATTEMPTS {
             if attempt > 0 {
-                d.save_retries.fetch_add(1, Ordering::Relaxed);
+                self.inner.metrics.inc(Metric::SaveRetries);
                 std::thread::sleep(Duration::from_millis(10u64 << (attempt - 1)));
             }
             let result = match crate::fault::fail_point("engine.snapshot_save") {
@@ -768,7 +685,7 @@ impl Engine {
             };
             match result {
                 Ok(()) => {
-                    d.note_durable_ok();
+                    self.note_durable_ok();
                     return Ok(());
                 }
                 Err(e) => {
@@ -785,7 +702,7 @@ impl Engine {
             "saving snapshot {} failed after {ATTEMPTS} attempts: {last}",
             path.display()
         );
-        d.note_failure(&d.save_failures, &msg);
+        self.note_durable_failure(Metric::SaveFailures, &msg);
         Err(msg)
     }
 
@@ -795,10 +712,7 @@ impl Engine {
     fn sweep_snapshot_dir(&self, dir: &Path) {
         match sweep_tmp(&RealVfs, dir) {
             Ok(swept) if !swept.is_empty() => {
-                self.inner
-                    .durability
-                    .tmp_swept
-                    .fetch_add(swept.len() as u64, Ordering::Relaxed);
+                self.inner.metrics.add(Metric::TmpSwept, swept.len() as u64);
                 eprintln!(
                     "molq-server: swept {} orphaned tmp file(s) from {}",
                     swept.len(),
@@ -821,7 +735,7 @@ impl Engine {
         let derived_from = self.get(&spec.name).map(|s| s.generation);
         self.maybe_delay_build();
         let snapshot = Snapshot::build(spec, sets, self.exec_config())?;
-        self.publish(snapshot, derived_from)
+        self.publish(snapshot, derived_from, Handover::Rehydrate)
             .map_err(|e| e.to_string())
     }
 
@@ -924,7 +838,7 @@ impl Engine {
         if spec.paths.is_empty() {
             self.maybe_delay_build();
             let snapshot = Snapshot::build(spec, current.query.sets.clone(), self.exec_config())?;
-            self.publish(snapshot, derived_from)
+            self.publish(snapshot, derived_from, Handover::Rehydrate)
         } else {
             self.load_derived(spec, derived_from).map(|(snap, _)| snap)
         }
@@ -1045,32 +959,91 @@ impl Engine {
         *self.inner.build_delay.lock().expect("delay lock poisoned") = Some(d);
     }
 
-    /// The one way a snapshot enters the registry. Callers build it outside
-    /// the lock (requests keep being served from the old snapshot for the
-    /// whole, potentially long, preparation) from the inputs of generation
-    /// `derived_from` (`None` for a first load). The swap is a
-    /// compare-and-swap under the registry write lock: it refuses with
-    /// [`ReloadError::Conflict`] when the served generation is no longer
-    /// `derived_from`, and otherwise stamps the snapshot as the next
-    /// generation. So generations are unique and strictly increasing per
-    /// dataset, and no publication silently overwrites another.
+    /// Test hook: the next time the engine reaches `point` it sends on
+    /// `reached`, then waits for `release`. Points: `update.publish` (a live
+    /// update's record is durable, its publication pending) and
+    /// `publish.persist` (a CSV build is served, its base not yet saved).
+    #[cfg(test)]
+    fn hold_once(
+        &self,
+        point: &'static str,
+        reached: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    ) {
+        self.inner
+            .holds
+            .lock()
+            .expect("hold lock poisoned")
+            .insert(point, (reached, release));
+    }
+
+    #[cfg(test)]
+    fn maybe_hold(&self, point: &str) {
+        let hold = self
+            .inner
+            .holds
+            .lock()
+            .expect("hold lock poisoned")
+            .remove(point);
+        if let Some((reached, release)) = hold {
+            let _ = reached.send(());
+            let _ = release.recv();
+        }
+    }
+
+    #[cfg(not(test))]
+    fn maybe_hold(&self, _point: &str) {}
+
+    /// Publishes a snapshot that replaces the dataset's inputs: a load, a
+    /// reload or a restore. Callers build it outside any lock (requests keep
+    /// being served from the old snapshot for the whole, potentially long,
+    /// preparation) from the inputs of generation `derived_from` (`None` for
+    /// a first load). The swap takes the dataset's live-update lock, so it
+    /// never lands inside a live update, then compare-and-swaps under the
+    /// registry write lock: it refuses with [`ReloadError::Conflict`] when
+    /// the served generation is no longer `derived_from`. On success it
+    /// hands the dataset's update state over as `handover` says, still under
+    /// the live-update lock, so no update can land between the swap and
+    /// the handover (and be journaled against the replaced base).
     fn publish(
         &self,
-        mut snapshot: Snapshot,
+        snapshot: Snapshot,
         derived_from: Option<u64>,
+        handover: Handover,
     ) -> Result<Arc<Snapshot>, ReloadError> {
-        let mut map = self.inner.datasets.write().expect("engine lock poisoned");
-        let served = map.get(&snapshot.spec.name).map(|s| s.generation);
-        if served != derived_from {
-            return Err(ReloadError::Conflict(format!(
-                "dataset {:?} changed while this build was in flight; retry",
-                snapshot.spec.name
-            )));
-        }
-        snapshot.generation = served.map_or(1, |g| g + 1);
-        let snapshot = Arc::new(snapshot);
-        map.insert(snapshot.spec.name.clone(), Arc::clone(&snapshot));
+        let entry = self.live_entry(&snapshot.spec.name);
+        let mut slot = entry.lock().expect("live state lock poisoned");
+        let snapshot = {
+            let mut map = self.inner.datasets.write().expect("engine lock poisoned");
+            if map.get(&snapshot.spec.name).map(|s| s.generation) != derived_from {
+                return Err(ReloadError::Conflict(format!(
+                    "dataset {:?} changed while this build was in flight; retry",
+                    snapshot.spec.name
+                )));
+            }
+            install(&mut map, snapshot)
+        };
+        *slot = match handover {
+            Handover::Rehydrate => None,
+            Handover::Persist(fingerprint) => {
+                self.maybe_hold("publish.persist");
+                self.persist(&snapshot, fingerprint);
+                None
+            }
+            Handover::Resume(live) => Some(*live),
+        };
         Ok(snapshot)
+    }
+
+    /// Publishes a live update's or compaction's snapshot. The caller has
+    /// held the dataset's live-update lock since it read the served
+    /// snapshot, and every publication takes that lock, so this cannot
+    /// lose.
+    fn publish_patched(&self, snapshot: Snapshot) -> Arc<Snapshot> {
+        install(
+            &mut self.inner.datasets.write().expect("engine lock poisoned"),
+            snapshot,
+        )
     }
 
     /// The current snapshot of a dataset.
@@ -1109,8 +1082,9 @@ impl Engine {
     /// bounds instead of patched — replay takes the same deterministic
     /// path, so restart equivalence holds either way.
     pub fn apply_update(&self, name: &str, update: &Update) -> Result<UpdateOutcome, UpdateError> {
+        let metrics = &self.inner.metrics;
         if let Err(e) = crate::fault::fail_point("engine.apply_update") {
-            self.inner.updates.rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.inc(Metric::UpdatesRejected);
             return Err(UpdateError::Rejected(format!(
                 "injected update failure: {e}"
             )));
@@ -1124,17 +1098,14 @@ impl Engine {
         // no basic diagrams to re-clip, and mixing approximate bases with an
         // exact-replay journal would silently change what a restart serves.
         if current.build_meta.mode.is_approx() {
-            self.inner.updates.rejected.fetch_add(1, Ordering::Relaxed);
+            metrics.inc(Metric::UpdatesRejected);
             return Err(UpdateError::Rejected(format!(
                 "dataset {name:?} was built in approximate mode (ε = {}); live updates \
                  require an exact build — reload without --epsilon first",
                 current.build_meta.mode.epsilon()
             )));
         }
-        if slot
-            .as_ref()
-            .map_or(true, |s| s.generation != current.generation)
-        {
+        if slot.is_none() {
             *slot = Some(self.hydrate(&current).map_err(UpdateError::Durability)?);
         }
         let state = slot.as_mut().expect("hydrated above");
@@ -1143,8 +1114,19 @@ impl Engine {
         let (stats, full_rebuild) = match apply_one(&mut state.live, inferred, update) {
             Ok(done) => done,
             Err(e) => {
-                self.inner.updates.rejected.fetch_add(1, Ordering::Relaxed);
+                metrics.inc(Metric::UpdatesRejected);
                 return Err(UpdateError::Rejected(e.to_string()));
+            }
+        };
+        // Built before the journal append, so nothing after the append can
+        // fail. The diagram has advanced: on failure, rehydrate next time.
+        let next = match live_snapshot(&current.spec, current.build_meta, &state.live, state.epoch)
+        {
+            Ok(next) => next,
+            Err(e) => {
+                *slot = None;
+                metrics.inc(Metric::UpdatesRejected);
+                return Err(UpdateError::Rejected(e));
             }
         };
 
@@ -1164,34 +1146,24 @@ impl Engine {
             if let Err(e) = appended {
                 let path = journal.path().display().to_string();
                 *slot = None;
-                let d = &self.inner.durability;
                 let msg = format!("update not durable: journal append to {path} failed: {e}");
-                d.note_failure(&d.append_failures, &msg);
+                self.note_durable_failure(Metric::AppendFailures, &msg);
                 return Err(UpdateError::Durability(msg));
             }
-            self.inner.durability.note_durable_ok();
+            self.note_durable_ok();
         }
+        self.maybe_hold("update.publish");
+        let snapshot = self.publish_patched(next);
 
-        let snapshot = self
-            .publish_patched(&current, state)
-            .map_err(UpdateError::Conflict)?;
-        state.generation = snapshot.generation;
-
-        let u = &self.inner.updates;
-        u.applied.fetch_add(1, Ordering::Relaxed);
+        metrics.inc(Metric::UpdatesApplied);
         if full_rebuild {
-            u.full_rebuilds.fetch_add(1, Ordering::Relaxed);
+            metrics.inc(Metric::FullRebuilds);
         }
-        let micros = stats.wall.as_micros() as u64;
-        u.patch_micros.fetch_add(micros, Ordering::Relaxed);
-        u.last_patch_micros.store(micros, Ordering::Relaxed);
-        u.cells_reclipped
-            .fetch_add(stats.cells_reclipped as u64, Ordering::Relaxed);
-        let a = &self.inner.arena;
-        a.segments_copied_total
-            .fetch_add(stats.segments_copied as u64, Ordering::Relaxed);
-        a.last_segments_copied
-            .store(stats.segments_copied as u64, Ordering::Relaxed);
+        metrics.add(Metric::PatchTimeUs, micros(stats.wall));
+        metrics.set(Metric::LastPatchUs, micros(stats.wall));
+        metrics.add(Metric::CellsReclipped, stats.cells_reclipped as u64);
+        metrics.add(Metric::SegmentsCopiedTotal, stats.segments_copied as u64);
+        metrics.set(Metric::LastSegmentsCopied, stats.segments_copied as u64);
 
         Ok(UpdateOutcome {
             snapshot,
@@ -1219,10 +1191,7 @@ impl Engine {
                  history to compact"
             ));
         }
-        if slot
-            .as_ref()
-            .map_or(true, |s| s.generation != current.generation)
-        {
+        if slot.is_none() {
             *slot = Some(self.hydrate(&current)?);
         }
         let state = slot.as_mut().expect("hydrated above");
@@ -1234,6 +1203,7 @@ impl Engine {
                 .map_err(|e| format!("fingerprinting sources of {name:?}: {e}"))?
         };
         let new_epoch = state.epoch + 1;
+        let next = live_snapshot(&current.spec, current.build_meta, &state.live, new_epoch)?;
         let stored = StoredSnapshot {
             name: current.spec.name.clone(),
             boundary: current.spec.boundary,
@@ -1262,73 +1232,57 @@ impl Engine {
             }
         }
         state.epoch = new_epoch;
-        let snapshot = self.publish_patched(&current, state)?;
-        state.generation = snapshot.generation;
-        self.inner
-            .updates
-            .compactions
-            .fetch_add(1, Ordering::Relaxed);
+        self.publish_patched(next);
+        self.inner.metrics.inc(Metric::Compactions);
         Ok(new_epoch)
     }
 
-    /// A point-in-time copy of the live-update counters.
-    pub fn update_stats(&self) -> UpdateStatsReport {
-        let u = &self.inner.updates;
-        UpdateStatsReport {
-            applied: u.applied.load(Ordering::Relaxed),
-            rejected: u.rejected.load(Ordering::Relaxed),
-            replayed: u.replayed.load(Ordering::Relaxed),
-            compactions: u.compactions.load(Ordering::Relaxed),
-            full_rebuilds: u.full_rebuilds.load(Ordering::Relaxed),
-            patch_micros_total: u.patch_micros.load(Ordering::Relaxed),
-            last_patch_micros: u.last_patch_micros.load(Ordering::Relaxed),
-            cells_reclipped: u.cells_reclipped.load(Ordering::Relaxed),
-        }
+    /// Every counter, gauge and latency histogram of the server.
+    pub fn metrics(&self) -> &Registry {
+        &self.inner.metrics
     }
 
-    /// A point-in-time copy of the durability counters.
+    /// Storage health: whether the most recent durable write failed, and
+    /// the error that last degraded the engine.
     pub fn durability(&self) -> DurabilityReport {
-        let d = &self.inner.durability;
-        DurabilityReport {
-            append_failures: d.append_failures.load(Ordering::Relaxed),
-            save_retries: d.save_retries.load(Ordering::Relaxed),
-            save_failures: d.save_failures.load(Ordering::Relaxed),
-            salvages: d.salvages.load(Ordering::Relaxed),
-            torn_tails: d.torn_tails.load(Ordering::Relaxed),
-            journals_set_aside: d.journals_set_aside.load(Ordering::Relaxed),
-            tmp_swept: d.tmp_swept.load(Ordering::Relaxed),
-            degraded: d.degraded.load(Ordering::Relaxed) != 0,
-            last_error: d
-                .last_error
-                .lock()
-                .expect("durability lock poisoned")
-                .clone(),
-        }
+        self.inner
+            .durability
+            .lock()
+            .expect("durability lock poisoned")
+            .clone()
     }
 
-    /// A point-in-time copy of the arena counters.
-    pub fn arena_stats(&self) -> ArenaStatsReport {
-        let a = &self.inner.arena;
-        ArenaStatsReport {
-            last_restore_copy_micros: a.last_restore_copy_micros.load(Ordering::Relaxed),
-            last_restore_validate_micros: a.last_restore_validate_micros.load(Ordering::Relaxed),
-            segments_copied_total: a.segments_copied_total.load(Ordering::Relaxed),
-            last_segments_copied: a.last_segments_copied.load(Ordering::Relaxed),
-        }
+    /// Records a durable-write failure: bumps `counter`, degrades the
+    /// engine, and remembers the error for `/health`.
+    fn note_durable_failure(&self, counter: Metric, err: &str) {
+        self.inner.metrics.inc(counter);
+        *self
+            .inner
+            .durability
+            .lock()
+            .expect("durability lock poisoned") = DurabilityReport {
+            degraded: true,
+            last_error: Some(err.to_string()),
+        };
     }
 
-    /// Records how a snapshot restore's decode wall time split between bulk
+    /// A durable write succeeded: storage is healthy again.
+    fn note_durable_ok(&self) {
+        self.inner
+            .durability
+            .lock()
+            .expect("durability lock poisoned")
+            .degraded = false;
+    }
+
+    /// How the most recent snapshot restore's decode split between bulk
     /// lane copies and structural validation.
-    fn record_restore_timings(&self, t: DecodeTimings) {
-        let a = &self.inner.arena;
-        a.last_restore_copy_micros.store(
-            t.copy.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-        a.last_restore_validate_micros.store(
-            t.validate.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
+    pub fn arena_stats(&self) -> ArenaStatsReport {
+        let m = &self.inner.metrics;
+        ArenaStatsReport {
+            last_restore_copy_micros: m.get(Metric::LastRestoreCopyUs),
+            last_restore_validate_micros: m.get(Metric::LastRestoreValidateUs),
+        }
     }
 
     /// The per-dataset live-state cell (created on first use).
@@ -1370,10 +1324,7 @@ impl Engine {
                                 "molq-server: journal {} unusable ({e}); starting a fresh one",
                                 path.display()
                             );
-                            self.inner
-                                .durability
-                                .journals_set_aside
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.inner.metrics.inc(Metric::JournalsSetAside);
                             let _ = set_aside_journal(&RealVfs, &path, "stale");
                             Journal::create(&path, &snap.spec.name, snap.update_epoch)
                                 .map_err(|e| e.to_string())?
@@ -1386,30 +1337,7 @@ impl Engine {
             live,
             journal,
             epoch: snap.update_epoch,
-            generation: snap.generation,
         })
-    }
-
-    /// Publishes the live state's diagram as the dataset's next generation.
-    /// Refuses (without publishing) when another publication slipped in
-    /// between — the caller's state is stale and self-heals on retry.
-    fn publish_patched(
-        &self,
-        current: &Snapshot,
-        state: &LiveState,
-    ) -> Result<Arc<Snapshot>, String> {
-        let query = MolqQuery::new(state.live.sets().to_vec(), state.live.bounds())
-            .with_rule(StoppingRule::Either(current.spec.eps, 100_000));
-        query.validate().map_err(|e| e.to_string())?;
-        let snapshot = Snapshot::assemble(
-            current.spec.clone(),
-            query,
-            state.live.index().clone(),
-            state.epoch,
-            current.build_meta,
-        );
-        self.publish(snapshot, Some(current.generation))
-            .map_err(|e| e.to_string())
     }
 
     /// Brings a recovered base snapshot up to date with its journal records,
@@ -1442,11 +1370,12 @@ impl Engine {
             disposition,
             timings,
         } = recovery;
-        self.record_restore_timings(timings);
-        let d = &self.inner.durability;
+        let m = &self.inner.metrics;
+        m.set(Metric::LastRestoreCopyUs, micros(timings.copy));
+        m.set(Metric::LastRestoreValidateUs, micros(timings.validate));
         match &disposition {
             JournalDisposition::TornTail { dropped_bytes } => {
-                d.torn_tails.fetch_add(1, Ordering::Relaxed);
+                m.inc(Metric::TornTails);
                 eprintln!(
                     "molq-server: journal {} ended in a torn record ({dropped_bytes} partial \
                      byte(s), crash mid-append); replaying the {} complete update(s)",
@@ -1458,7 +1387,7 @@ impl Engine {
                 dropped_bytes,
                 defect,
             } => {
-                d.salvages.fetch_add(1, Ordering::Relaxed);
+                m.inc(Metric::Salvages);
                 eprintln!(
                     "molq-server: journal {} tail defective ({defect}); salvaged the \
                      {}-record prefix, dropping {dropped_bytes} byte(s)",
@@ -1467,7 +1396,7 @@ impl Engine {
                 );
             }
             JournalDisposition::SetAside { reason } => {
-                d.journals_set_aside.fetch_add(1, Ordering::Relaxed);
+                m.inc(Metric::JournalsSetAside);
                 match set_aside_journal(&RealVfs, &path, "stale") {
                     Ok(aside) => eprintln!(
                         "molq-server: journal {} unusable ({reason}); set aside as {}",
@@ -1488,7 +1417,7 @@ impl Engine {
         // modes would change what a restart serves. Any records found are
         // set aside and the base serves alone.
         if stored.build.mode.is_approx() && !records.is_empty() {
-            d.journals_set_aside.fetch_add(1, Ordering::Relaxed);
+            m.inc(Metric::JournalsSetAside);
             match set_aside_journal(&RealVfs, &path, "modemix") {
                 Ok(aside) => eprintln!(
                     "molq-server: journal {} holds {} update(s) but the base snapshot was \
@@ -1505,11 +1434,19 @@ impl Engine {
                     path.display()
                 ),
             }
-            return self.publish(Snapshot::from_stored(spec.clone(), stored)?, derived_from);
+            return self.publish(
+                Snapshot::from_stored(spec.clone(), stored)?,
+                derived_from,
+                Handover::Rehydrate,
+            );
         }
 
         if records.is_empty() {
-            return self.publish(Snapshot::from_stored(spec.clone(), stored)?, derived_from);
+            return self.publish(
+                Snapshot::from_stored(spec.clone(), stored)?,
+                derived_from,
+                Handover::Rehydrate,
+            );
         }
 
         // Replay onto a copy of the base's parts, so a record that turns out
@@ -1529,7 +1466,7 @@ impl Engine {
             if let Err(e) = apply_one(&mut live, inferred, &update_of(record)) {
                 // Checksum-valid but inapplicable: the journal does not
                 // describe this base. Set it aside and serve the base alone.
-                d.journals_set_aside.fetch_add(1, Ordering::Relaxed);
+                m.inc(Metric::JournalsSetAside);
                 match set_aside_journal(&RealVfs, &path, "corrupt") {
                     Ok(aside) => eprintln!(
                         "molq-server: journal record {i} no longer applies ({e}); set aside \
@@ -1542,29 +1479,60 @@ impl Engine {
                         path.display()
                     ),
                 }
-                return self.publish(Snapshot::from_stored(spec.clone(), stored)?, derived_from);
+                return self.publish(
+                    Snapshot::from_stored(spec.clone(), stored)?,
+                    derived_from,
+                    Handover::Rehydrate,
+                );
             }
-            self.inner.updates.replayed.fetch_add(1, Ordering::Relaxed);
+            m.inc(Metric::UpdatesReplayed);
         }
 
         // Reopen for appends (truncates any torn/defective tail) and publish.
         let journal =
             Journal::open_or_create(&path, &spec.name, epoch).map_err(|e| e.to_string())?;
-        let query = MolqQuery::new(live.sets().to_vec(), live.bounds())
-            .with_rule(StoppingRule::Either(spec.eps, 100_000));
-        query.validate().map_err(|e| e.to_string())?;
-        let snapshot =
-            Snapshot::assemble(spec.clone(), query, live.index().clone(), epoch, base_build);
-        let snapshot = self.publish(snapshot, derived_from)?;
-        let entry = self.live_entry(&spec.name);
-        *entry.lock().expect("live state lock poisoned") = Some(LiveState {
+        let snapshot = live_snapshot(spec, base_build, &live, epoch)?;
+        let live = LiveState {
             live,
             journal: Some(journal),
             epoch,
-            generation: snapshot.generation,
-        });
-        Ok(snapshot)
+        };
+        self.publish(snapshot, derived_from, Handover::Resume(Box::new(live)))
     }
+}
+
+/// Stamps `snapshot` as its dataset's next generation and serves it. The
+/// caller holds the dataset's live-update lock and the registry write lock.
+fn install(map: &mut HashMap<String, Arc<Snapshot>>, mut snapshot: Snapshot) -> Arc<Snapshot> {
+    snapshot.generation = map.get(&snapshot.spec.name).map_or(1, |s| s.generation + 1);
+    let snapshot = Arc::new(snapshot);
+    map.insert(snapshot.spec.name.clone(), Arc::clone(&snapshot));
+    snapshot
+}
+
+/// An unpublished snapshot of a live diagram: the dataset's spec and build
+/// metadata over the diagram's current sets, at journal epoch `epoch`.
+fn live_snapshot(
+    spec: &DatasetSpec,
+    build: BuildMeta,
+    live: &LiveMovd,
+    epoch: u64,
+) -> Result<Snapshot, String> {
+    let query = MolqQuery::new(live.sets().to_vec(), live.bounds())
+        .with_rule(StoppingRule::Either(spec.eps, 100_000));
+    query.validate().map_err(|e| e.to_string())?;
+    Ok(Snapshot::assemble(
+        spec.clone(),
+        query,
+        live.index().clone(),
+        epoch,
+        build,
+    ))
+}
+
+/// A duration in whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// The journal form of an update (shared with the offline `molq update` CLI).
@@ -1998,10 +1966,10 @@ mod tests {
         let outcome = engine.apply_update("d", &remove).unwrap();
         assert_eq!(outcome.snapshot.generation, 3);
 
-        let stats = engine.update_stats();
-        assert_eq!(stats.applied, 2);
-        assert_eq!(stats.rejected, 0);
-        assert!(stats.patch_micros_total > 0);
+        let m = engine.metrics();
+        assert_eq!(m.get(Metric::UpdatesApplied), 2);
+        assert_eq!(m.get(Metric::UpdatesRejected), 0);
+        assert!(m.get(Metric::PatchTimeUs) > 0);
 
         // The patched diagram is bit-identical to building from the updated
         // sets from scratch.
@@ -2026,7 +1994,7 @@ mod tests {
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
         assert_eq!(replayed.index.arena(), served.index.arena());
         assert_eq!(replayed.object_count(), 22);
-        assert_eq!(restarted.update_stats().replayed, 2);
+        assert_eq!(restarted.metrics().get(Metric::UpdatesReplayed), 2);
 
         // Updates keep appending where the journal left off after a restore.
         restarted.apply_update("d", &insert).unwrap();
@@ -2044,10 +2012,9 @@ mod tests {
         let (snap, outcome) = salvaging.load_traced(spec.clone()).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
         assert_eq!(snap.object_count(), 22); // insert + remove, not the 3rd
-        assert_eq!(salvaging.update_stats().replayed, 2);
-        let report = salvaging.durability();
-        assert_eq!(report.salvages, 1);
-        assert!(!report.degraded);
+        assert_eq!(salvaging.metrics().get(Metric::UpdatesReplayed), 2);
+        assert_eq!(salvaging.metrics().get(Metric::Salvages), 1);
+        assert!(!salvaging.durability().degraded);
         // The reopen truncated the corrupt tail back to the valid prefix.
         assert!(journal_file.exists());
         assert_eq!(
@@ -2068,7 +2035,7 @@ mod tests {
         assert_eq!(snap.object_count(), 22); // the base alone
         assert!(!journal_file.exists());
         assert!(journal_file.with_extension("journal.stale").exists());
-        assert_eq!(aside_engine.durability().journals_set_aside, 1);
+        assert_eq!(aside_engine.metrics().get(Metric::JournalsSetAside), 1);
         // ... after which base + (fresh) journal restores again.
         let (_, outcome) = Engine::new().load_traced(spec).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
@@ -2093,7 +2060,7 @@ mod tests {
         };
         assert!(engine.apply_update("d", &dup).is_err());
         assert_eq!(engine.get("d").unwrap().generation, gen1);
-        assert_eq!(engine.update_stats().rejected, 1);
+        assert_eq!(engine.metrics().get(Metric::UpdatesRejected), 1);
 
         // An interior insert (the centroid is inside the inferred MBR by
         // construction) leaves the bounds alone: incremental.
@@ -2131,7 +2098,7 @@ mod tests {
         assert!(outcome.full_rebuild);
         assert_eq!(outcome.snapshot.generation, before.generation + 1);
         assert!(outcome.snapshot.query.bounds.max_x > before.query.bounds.max_x);
-        assert_eq!(engine.update_stats().full_rebuilds, 1);
+        assert_eq!(engine.metrics().get(Metric::FullRebuilds), 1);
 
         // Missing dataset errors.
         assert!(engine.apply_update("nope", &inside).is_err());
@@ -2168,7 +2135,7 @@ mod tests {
         let epoch = engine.compact("d").unwrap();
         assert_eq!(epoch, 1);
         assert_eq!(engine.get("d").unwrap().update_epoch, 1);
-        assert_eq!(engine.update_stats().compactions, 1);
+        assert_eq!(engine.metrics().get(Metric::Compactions), 1);
         let load = load_journal(&journal_file).unwrap();
         assert_eq!((load.epoch, load.records.len()), (1, 0));
 
@@ -2179,7 +2146,7 @@ mod tests {
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
         assert_eq!(snap.update_epoch, 1);
         assert_eq!(snap.index.arena(), served.index.arena());
-        assert_eq!(restarted.update_stats().replayed, 0);
+        assert_eq!(restarted.metrics().get(Metric::UpdatesReplayed), 0);
 
         // Post-compaction updates journal at the new epoch and replay again.
         engine
@@ -2189,7 +2156,7 @@ mod tests {
         let restarted = Engine::new();
         let (snap, outcome) = restarted.load_traced(spec).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
-        assert_eq!(restarted.update_stats().replayed, 1);
+        assert_eq!(restarted.metrics().get(Metric::UpdatesReplayed), 1);
         assert_eq!(snap.index.arena(), served.index.arena());
 
         // Compacting a dataset without persistence is refused.
@@ -2323,6 +2290,119 @@ mod tests {
         );
     }
 
+    /// A reload that publishes between a live update's journal append and
+    /// its publication must not turn the update into a failure: every
+    /// journaled record is an acknowledged update, and a restart serves
+    /// exactly the acknowledged objects.
+    #[test]
+    fn a_journaled_update_is_never_lost_to_a_racing_reload() {
+        let (dir, paths) = csv_fixture("journal_race", &[("a", 20, 61), ("b", 20, 62)]);
+        let snap_dir = dir.join("snap");
+        let spec = DatasetSpec {
+            paths,
+            snapshot_dir: Some(snap_dir.clone()),
+            ..spec("d")
+        };
+        let engine = Engine::new();
+        let base = engine.load(spec.clone()).unwrap().object_count();
+
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        engine.hold_once("update.publish", reached_tx, release_rx);
+        let updater = engine.clone();
+        let update = std::thread::spawn(move || {
+            let insert = Update::Insert {
+                set: 0,
+                object: SpatialObject {
+                    loc: Point::new(50.25, 50.5),
+                    w_t: 1.0,
+                    w_o: 1.0,
+                },
+            };
+            updater.apply_update("d", &insert)
+        });
+        // The record is durable and the publication pending: race a reload
+        // (which restores base + journal) against it, and give the reload
+        // ample time to publish if nothing holds it back.
+        reached_rx.recv().unwrap();
+        let reloader = engine.clone();
+        let reload = std::thread::spawn(move || reloader.reload("d", None));
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        release_tx.send(()).unwrap();
+        let acked = usize::from(update.join().unwrap().is_ok());
+        match reload.join().unwrap() {
+            Ok(_) | Err(ReloadError::Conflict(_)) => {}
+            Err(e) => panic!("unexpected reload error: {e}"),
+        }
+
+        let journaled = load_journal(&journal_path(&snap_dir, "d"))
+            .unwrap()
+            .records
+            .len();
+        assert_eq!(journaled, acked, "journal holds an unacknowledged update");
+        let served = engine.get("d").unwrap().object_count();
+        assert_eq!(served, base + acked);
+        let restarted = Engine::new();
+        let (snap, outcome) = restarted.load_traced(spec).unwrap();
+        assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
+        assert_eq!(snap.object_count(), served, "restart serves another count");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A live update that lands right after a CSV rebuild is served must
+    /// not be journaled against the replaced base: the rebuild's save
+    /// drops that journal, which would lose the update (and every later
+    /// one) on restart.
+    #[test]
+    fn an_update_after_a_csv_rebuild_survives_its_persist() {
+        let (dir, paths) = csv_fixture("persist_race", &[("a", 20, 71), ("b", 20, 72)]);
+        let snap_dir = dir.join("snap");
+        let spec = DatasetSpec {
+            paths: paths.clone(),
+            snapshot_dir: Some(snap_dir.clone()),
+            ..spec("d")
+        };
+        let engine = Engine::new();
+        engine.load(spec.clone()).unwrap();
+        // New CSV contents, so the reload rebuilds and persists.
+        let mut f = File::create(&paths[0]).unwrap();
+        molq_datagen::csv::write_csv(&pseudo_set("a", 21, 73), &mut f).unwrap();
+        drop(f);
+        let insert = |x: f64| Update::Insert {
+            set: 0,
+            object: SpatialObject {
+                loc: Point::new(x, 50.5),
+                w_t: 1.0,
+                w_o: 1.0,
+            },
+        };
+
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        engine.hold_once("publish.persist", reached_tx, release_rx);
+        let reloader = engine.clone();
+        let reload = std::thread::spawn(move || reloader.reload("d", None));
+        // The rebuild is served and its base not yet saved: race an update
+        // against the save, giving it ample time to land if nothing holds
+        // it back.
+        reached_rx.recv().unwrap();
+        let updater = engine.clone();
+        let update = std::thread::spawn(move || updater.apply_update("d", &insert(50.25)));
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        release_tx.send(()).unwrap();
+        reload.join().unwrap().unwrap();
+        update.join().unwrap().unwrap();
+        engine.apply_update("d", &insert(50.75)).unwrap();
+
+        let served = engine.get("d").unwrap().object_count();
+        assert_eq!(served, 21 + 20 + 2);
+        let restarted = Engine::new();
+        let (snap, outcome) = restarted.load_traced(spec).unwrap();
+        assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
+        assert_eq!(snap.object_count(), served, "a restart lost updates");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn approx_spec_builds_serves_and_refuses_updates() {
         let engine = Engine::new();
@@ -2377,7 +2457,7 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
-        assert_eq!(engine.update_stats().rejected, 1);
+        assert_eq!(engine.metrics().get(Metric::UpdatesRejected), 1);
 
         // Reloading with ε = 0 switches the dataset back to the exact
         // pipeline; reloading with a new ε switches forward again.
@@ -2453,8 +2533,8 @@ mod tests {
         let restarted = Engine::new();
         let (snap, outcome) = restarted.load_traced(approx).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
-        assert_eq!(restarted.update_stats().replayed, 0);
-        assert_eq!(restarted.durability().journals_set_aside, 1);
+        assert_eq!(restarted.metrics().get(Metric::UpdatesReplayed), 0);
+        assert_eq!(restarted.metrics().get(Metric::JournalsSetAside), 1);
         assert!(!jpath.exists(), "journal should have been set aside");
         assert_eq!(snap.object_count(), 38);
     }

@@ -46,7 +46,7 @@
 //!   and stalled writers are closed after the read timeout.
 
 use crate::http::{ServerConfig, ServerHandle};
-use crate::metrics::ResilienceMetrics;
+use crate::metrics::Metric;
 use crate::proto::{self, ParseOutcome};
 use crate::service::Service;
 use molq_net::{Event, Interest, Poller, Waker};
@@ -201,11 +201,11 @@ impl Acceptor {
     }
 
     fn accept_ready(&mut self) {
-        let transport = &self.service.metrics().transport;
+        let metrics = self.service.metrics();
         loop {
             match self.listener.accept() {
                 Ok((mut stream, _)) => {
-                    ResilienceMetrics::bump(&transport.accepted);
+                    metrics.inc(Metric::Accepted);
                     let mut open = 0;
                     let mut target = &self.loops[0].shared;
                     for slot in &self.loops {
@@ -216,12 +216,12 @@ impl Acceptor {
                         }
                     }
                     if open >= self.config.max_connections.max(1) {
-                        ResilienceMetrics::bump(&transport.overload_shed);
+                        metrics.inc(Metric::OverloadShed);
                         let _ = stream.write_all(proto::overload_response().as_bytes());
                         continue;
                     }
                     target.load.fetch_add(1, Ordering::Relaxed);
-                    ResilienceMetrics::bump(&transport.open_connections);
+                    metrics.inc(Metric::OpenConnections);
                     target
                         .inbox
                         .lock()
@@ -257,7 +257,7 @@ impl Acceptor {
             match fresh {
                 Ok(event_loop) => {
                     slot.thread = Some(event_loop.spawn(&self.stop));
-                    ResilienceMetrics::bump(&self.service.metrics().resilience.workers_respawned);
+                    self.service.metrics().inc(Metric::WorkersRespawned);
                 }
                 Err(e) => eprintln!("molq-server: event loop respawn failed: {e}"),
             }
@@ -463,7 +463,7 @@ impl EventLoop {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if !conn.buf.is_empty() && conn.state == ConnState::Reading {
-                        ResilienceMetrics::bump(&self.service.metrics().transport.read_stalls);
+                        self.service.metrics().inc(Metric::ReadStalls);
                     }
                     return true;
                 }
@@ -501,7 +501,7 @@ impl EventLoop {
             // Protocol rejection: answered without touching the service.
             Err(e) => (proto::render_response(&e.to_response(), false), false),
             Ok(_) if self.batch_at.elapsed() > self.service.config().request_timeout => {
-                ResilienceMetrics::bump(&self.service.metrics().resilience.queue_shed);
+                self.service.metrics().inc(Metric::QueueShed);
                 (proto::shed_response().into_bytes(), false)
             }
             Ok(api_request) => {
@@ -548,7 +548,7 @@ impl EventLoop {
                     conn.last_activity = Instant::now();
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    ResilienceMetrics::bump(&self.service.metrics().transport.write_stalls);
+                    self.service.metrics().inc(Metric::WriteStalls);
                     let interest = Interest {
                         readable: conn.interest.readable,
                         writable: true,
@@ -629,8 +629,9 @@ impl EventLoop {
     /// open-connection gauge.
     fn release(&self, n: usize) {
         self.shared.load.fetch_sub(n, Ordering::Relaxed);
-        let open = &self.service.metrics().transport.open_connections;
-        open.fetch_sub(n as u64, Ordering::Relaxed);
+        self.service
+            .metrics()
+            .sub(Metric::OpenConnections, n as u64);
     }
 }
 
@@ -768,7 +769,7 @@ mod tests {
     fn open_connections_gauge_tracks_accepts_and_closes() {
         let service = empty_service();
         let (handle, addr) = server(2, Arc::clone(&service));
-        let open = || ResilienceMetrics::get(&service.metrics().transport.open_connections);
+        let open = || service.metrics().get(Metric::OpenConnections);
         let mut conns: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
         for s in conns.iter_mut() {
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();

@@ -11,14 +11,17 @@
 //! * **engine** ([`engine`]): loads CSV layers, runs the MOVD Overlapper
 //!   once, and publishes the result as an immutable [`engine::Snapshot`]
 //!   behind an `Arc` — named multi-dataset support with atomic snapshot
-//!   swaps. Loads, reloads, live updates and compactions all publish
-//!   through one compare-and-swap that assigns each dataset's generations.
+//!   swaps. Loads, reloads, live updates and compactions all publish under
+//!   the dataset's live-update lock, which assigns its generations; a
+//!   reload whose source generation was replaced meanwhile fails instead of
+//!   overwriting it.
 //! * **service** ([`service`]): the API — `locate`, `solve`, `topk`, the
 //!   batched `solve_batch`/`topk_batch` (one snapshot pin + one sweep per
 //!   distinct item, responses byte-identical to individual calls),
 //!   `health`, `stats`, `reload` — plus a sharded LRU cache ([`cache`]) for
-//!   `locate` keyed on quantized coordinates, and lock-free per-endpoint
-//!   metrics ([`metrics`]). One engine holds every named dataset; its
+//!   `locate` keyed on quantized coordinates. One engine holds every named
+//!   dataset and the one lock-free metrics registry ([`metrics`]) that the
+//!   engine, the service and the event loops all record into. The
 //!   per-dataset state (snapshot, live-update lock, breaker, in-flight
 //!   build) keeps one dataset's rebuilds from touching another's.
 //! * **transport** ([`http`]): a dependency-free HTTP/1.1 server on

@@ -1,65 +1,345 @@
-//! Lock-free serving metrics: per-endpoint counters and latency histograms.
+//! The metrics registry: every server counter, gauge and per-route latency
+//! histogram, in one lock-free table.
 //!
-//! Every request bumps a request/error counter and adds its latency to a
-//! log₂-bucketed histogram (bucket *i* covers `[2^i, 2^(i+1))` µs), all
-//! plain relaxed atomics — the hot path never takes a lock. Quantiles are
-//! reconstructed from the histogram on `/stats` reads; with power-of-two
-//! buckets they are accurate to within a factor of two, which is what a
-//! serving dashboard needs.
+//! Each scalar metric is declared exactly once, below, with the `/stats`
+//! section and key it renders as; declaration order is render order. The
+//! values live in one fixed array of relaxed atomics indexed by [`Metric`],
+//! so recording a value is one atomic operation — the request path never
+//! takes a lock, hashes, or looks up a string. A counter is bumped with
+//! `Registry::add`, a gauge is overwritten with `Registry::set`; only this
+//! crate records, everyone reads.
+//!
+//! Per-route latency histograms live in the same registry, keyed by
+//! [`Route`]. They are log₂-bucketed: bucket 0 holds 0 µs and bucket *i* ≥ 1
+//! holds `[2^(i-1), 2^i)` µs. Quantiles are reconstructed on `/stats` reads
+//! as the upper edge of the holding bucket; with power-of-two buckets they
+//! are accurate to within a factor of two, which is what a serving
+//! dashboard needs.
+//!
+//! `/stats` renders each scalar section by walking its declarations
+//! (`Registry::render_section`). Derived values — `mean_us`, `p50_us`,
+//! `p99_us` and the batch `amortized_items` — are computed at render time.
 
+use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Histogram buckets: log₂ microseconds, 0 µs .. ≥ 2³¹ µs (~36 min).
-const BUCKETS: usize = 32;
+/// Declares [`Metric`] and its `/stats` placement from one table.
+macro_rules! declare_metrics {
+    ($($section:literal { $($(#[$doc:meta])* $name:ident = $key:literal,)* })*) => {
+        /// A scalar metric: a counter or a gauge, rendered on `/stats` under
+        /// its section and key.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $($($(#[$doc])* $name,)*)*
+        }
 
-/// Counters for one endpoint.
-#[derive(Debug, Default)]
-pub struct EndpointMetrics {
-    requests: AtomicU64,
-    errors: AtomicU64,
-    total_micros: AtomicU64,
-    histogram: [AtomicU64; BUCKETS],
+        impl Metric {
+            /// Every metric, in render order.
+            pub const ALL: &'static [Metric] = &[$($(Metric::$name,)*)*];
+
+            /// The `/stats` section and key this metric renders as.
+            pub const fn path(self) -> (&'static str, &'static str) {
+                match self {
+                    $($(Metric::$name => ($section, $key),)*)*
+                }
+            }
+        }
+    };
 }
 
-impl EndpointMetrics {
-    /// Records one request's latency and outcome.
-    pub fn record(&self, micros: u64, is_error: bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if is_error {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+declare_metrics! {
+    "cache" {
+        /// `/locate` answers served from the cache.
+        CacheHits = "hits",
+        /// `/locate` answers computed and then cached.
+        CacheMisses = "misses",
+    }
+    "resilience" {
+        /// Handler panics caught by the request-level `catch_unwind` (each
+        /// one answered `500` instead of killing an event loop).
+        PanicsCaught = "panics_caught",
+        /// Event loops that died anyway and were respawned by the
+        /// acceptor's supervisor.
+        WorkersRespawned = "workers_respawned",
+        /// Requests shed because they had already waited behind their event
+        /// loop past the request deadline (answered `503` + `Retry-After`).
+        QueueShed = "queue_shed",
+        /// Requests whose evaluation was cancelled at the deadline
+        /// (answered `504` with partial-progress stats).
+        DeadlineTimeouts = "deadline_timeouts",
+    }
+    "scan" {
+        /// Completed group scans behind `locate`, `solve` and `topk`.
+        Scans = "scans",
+        /// Groups walked across all scans.
+        GroupsEvaluated = "groups_evaluated",
+        /// Groups the cost bound discarded (prefilter + prune).
+        GroupsPruned = "groups_pruned",
+        /// Total scan wall time, µs.
+        ScanTimeUs = "scan_time_us",
+        /// Gauge: groups the most recent scan walked.
+        LastGroupsEvaluated = "last_groups_evaluated",
+        /// Gauge: groups the most recent scan discarded.
+        LastGroupsPruned = "last_groups_pruned",
+        /// Gauge: wall time of the most recent scan, µs.
+        LastScanUs = "last_scan_us",
+        /// Fermat–Weber iterations across all scans, the exact small-group
+        /// solvers' included.
+        ScanIterations = "iterations",
+    }
+    "updates" {
+        /// Live updates applied.
+        UpdatesApplied = "applied",
+        /// Live updates rejected by validation (duplicate coordinates, bad
+        /// indices, emptying a set, approximate datasets, injected faults).
+        UpdatesRejected = "rejected",
+        /// Journal records replayed during snapshot restores.
+        UpdatesReplayed = "replayed",
+        /// Journal compactions performed.
+        Compactions = "compactions",
+        /// Updates that rebuilt the diagram because inferred bounds moved.
+        FullRebuilds = "full_rebuilds",
+        /// Basic-diagram cells re-clipped across all patches.
+        CellsReclipped = "cells_reclipped",
+        /// Total patch wall time, µs.
+        PatchTimeUs = "patch_time_us",
+        /// Gauge: wall time of the most recent patch, µs.
+        LastPatchUs = "last_patch_us",
+    }
+    "arena_stats" {
+        /// Gauge: bulk lane-copy share of the most recent restore's
+        /// decode, µs.
+        LastRestoreCopyUs = "last_restore_copy_us",
+        /// Gauge: structural-validation share of the most recent restore's
+        /// decode, µs.
+        LastRestoreValidateUs = "last_restore_validate_us",
+        /// Contiguous arena segments copied across all live-update patches.
+        SegmentsCopiedTotal = "segments_copied_total",
+        /// Gauge: segments the most recent patch copied.
+        LastSegmentsCopied = "last_segments_copied",
+    }
+    "durability" {
+        /// Write-ahead journal appends that failed (each failed its update
+        /// with `507`).
+        AppendFailures = "append_failures",
+        /// Snapshot-save attempts retried after a transient failure.
+        SaveRetries = "save_retries",
+        /// Snapshot saves that failed even after retries.
+        SaveFailures = "save_failures",
+        /// Journals whose defective tail was salvaged on restore.
+        Salvages = "salvages",
+        /// Journals that ended in a torn (partial) record on restore.
+        TornTails = "torn_tails",
+        /// Journals set aside as untrusted.
+        JournalsSetAside = "journals_set_aside",
+        /// Orphaned atomic-write temp files removed by the sweeps.
+        TmpSwept = "tmp_swept",
+    }
+    "transport" {
+        /// Connections accepted since start.
+        Accepted = "accepted",
+        /// Gauge: currently open connections.
+        OpenConnections = "open_connections",
+        /// Reads that returned `WouldBlock` mid-message.
+        ReadStalls = "read_stalls",
+        /// Writes that returned `WouldBlock` mid-response.
+        WriteStalls = "write_stalls",
+        /// Connections answered `503` because `max_connections` were open.
+        OverloadShed = "overload_shed",
+    }
+    "batch" {
+        /// Completed batch requests.
+        Batches = "batches",
+        /// Query items across all batches.
+        BatchItems = "items",
+        /// Distinct evaluations actually performed across all batches.
+        BatchScans = "scans",
+        /// Derived, never recorded: `items - scans`, the evaluations that
+        /// batching saved.
+        AmortizedItems = "amortized_items",
+        /// Gauge: items in the most recent batch.
+        LastBatchItems = "last_items",
+        /// Gauge: evaluations the most recent batch performed.
+        LastBatchScans = "last_scans",
+        /// Gauge: wall time of the most recent batch, µs.
+        LastBatchUs = "last_batch_us",
+    }
+}
+
+/// A request route: the key of one latency histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// `/locate`.
+    Locate,
+    /// `/solve`.
+    Solve,
+    /// `/solve_batch`.
+    SolveBatch,
+    /// `/topk`.
+    Topk,
+    /// `/topk_batch`.
+    TopkBatch,
+    /// `/health`.
+    Health,
+    /// `/stats`.
+    Stats,
+    /// `/reload`.
+    Reload,
+    /// `/datasets/:name/objects[/:id]` (live insert/delete).
+    Update,
+    /// Anything unrouted.
+    Other,
+}
+
+impl Route {
+    /// Every route, in render order.
+    pub const ALL: [Route; 10] = [
+        Route::Locate,
+        Route::Solve,
+        Route::SolveBatch,
+        Route::Topk,
+        Route::TopkBatch,
+        Route::Health,
+        Route::Stats,
+        Route::Reload,
+        Route::Update,
+        Route::Other,
+    ];
+
+    /// The route serving a request path.
+    pub fn of(path: &str) -> Route {
+        match path {
+            "/locate" => Route::Locate,
+            "/solve" => Route::Solve,
+            "/solve_batch" => Route::SolveBatch,
+            "/topk" => Route::Topk,
+            "/topk_batch" => Route::TopkBatch,
+            "/health" => Route::Health,
+            "/stats" => Route::Stats,
+            "/reload" => Route::Reload,
+            p if p.starts_with("/datasets/") => Route::Update,
+            _ => Route::Other,
         }
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
+    }
+
+    /// The route's key under `/stats` `endpoints`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Route::Locate => "locate",
+            Route::Solve => "solve",
+            Route::SolveBatch => "solve_batch",
+            Route::Topk => "topk",
+            Route::TopkBatch => "topk_batch",
+            Route::Health => "health",
+            Route::Stats => "stats",
+            Route::Reload => "reload",
+            Route::Update => "update",
+            Route::Other => "other",
+        }
+    }
+}
+
+/// Histogram buckets: 0 µs, then log₂ microseconds up to ≥ 2³⁰ µs (~18 min).
+const BUCKETS: usize = 32;
+
+/// One route's latency histogram; its request count is the bucket sum.
+#[derive(Debug, Default)]
+struct Histogram {
+    errors: AtomicU64,
+    total_micros: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+}
+
+/// Every metric the server keeps. See the module docs.
+#[derive(Debug)]
+pub struct Registry {
+    values: [AtomicU64; Metric::ALL.len()],
+    routes: [Histogram; Route::ALL.len()],
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            values: std::array::from_fn(|_| AtomicU64::new(0)),
+            routes: Default::default(),
+        }
+    }
+}
+
+impl Registry {
+    /// Adds `v` to a counter.
+    pub(crate) fn add(&self, m: Metric, v: u64) {
+        self.values[m as usize].fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Adds one to a counter.
+    pub(crate) fn inc(&self, m: Metric) {
+        self.add(m, 1);
+    }
+
+    /// Subtracts `v` from an up-down gauge.
+    pub(crate) fn sub(&self, m: Metric, v: u64) {
+        self.values[m as usize].fetch_sub(v, Ordering::Relaxed);
+    }
+
+    /// Overwrites a last-value gauge.
+    pub(crate) fn set(&self, m: Metric, v: u64) {
+        self.values[m as usize].store(v, Ordering::Relaxed);
+    }
+
+    /// A metric's current value.
+    pub fn get(&self, m: Metric) -> u64 {
+        let load = |m: Metric| self.values[m as usize].load(Ordering::Relaxed);
+        match m {
+            Metric::AmortizedItems => {
+                load(Metric::BatchItems).saturating_sub(load(Metric::BatchScans))
+            }
+            m => load(m),
+        }
+    }
+
+    /// Records one request's latency and outcome under its route.
+    pub(crate) fn record_request(&self, route: Route, micros: u64, is_error: bool) {
+        let h = &self.routes[route as usize];
+        if is_error {
+            h.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        h.total_micros.fetch_add(micros, Ordering::Relaxed);
         let bucket = (64 - micros.leading_zeros() as usize).min(BUCKETS - 1);
-        self.histogram[bucket].fetch_add(1, Ordering::Relaxed);
+        h.buckets[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total requests recorded.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+    fn bucket_counts(&self, route: Route) -> [u64; BUCKETS] {
+        let h = &self.routes[route as usize];
+        std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed))
     }
 
-    /// Requests that answered with an error status.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
+    /// Requests recorded under `route`.
+    pub fn requests(&self, route: Route) -> u64 {
+        self.bucket_counts(route).iter().sum()
     }
 
-    /// Mean latency in microseconds.
-    pub fn mean_micros(&self) -> f64 {
-        let n = self.requests();
+    /// Requests under `route` that answered with an error status.
+    pub fn errors(&self, route: Route) -> u64 {
+        self.routes[route as usize].errors.load(Ordering::Relaxed)
+    }
+
+    /// Mean latency of `route` in microseconds (0 before any request).
+    pub fn mean_micros(&self, route: Route) -> f64 {
+        let n = self.requests(route);
         if n == 0 {
             return 0.0;
         }
-        self.total_micros.load(Ordering::Relaxed) as f64 / n as f64
+        self.routes[route as usize]
+            .total_micros
+            .load(Ordering::Relaxed) as f64
+            / n as f64
     }
 
-    /// Approximate latency quantile (`q` in `[0, 1]`) in microseconds,
-    /// reconstructed from the histogram (upper edge of the holding bucket).
-    pub fn quantile_micros(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .histogram
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+    /// Approximate latency quantile (`q` in `[0, 1]`) of `route` in
+    /// microseconds: the upper edge of the bucket holding rank `q`.
+    pub fn quantile_micros(&self, route: Route, q: f64) -> u64 {
+        let counts = self.bucket_counts(route);
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
@@ -69,228 +349,34 @@ impl EndpointMetrics {
         for (i, c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                // Bucket i holds latencies in [2^(i-1), 2^i) µs (bucket 0: 0).
                 return if i == 0 { 0 } else { 1u64 << i };
             }
         }
         1u64 << (BUCKETS - 1)
     }
-}
 
-/// Resilience counters: the events the serving stack survives rather than
-/// serves. All relaxed atomics, exported on `/stats` under `"resilience"`.
-#[derive(Debug, Default)]
-pub struct ResilienceMetrics {
-    /// Handler panics caught by the request-level `catch_unwind` (each one
-    /// answered `500` instead of killing an event loop).
-    pub panics_caught: AtomicU64,
-    /// Event loops that died anyway and were respawned by the acceptor's
-    /// supervisor.
-    pub workers_respawned: AtomicU64,
-    /// Requests shed at dispatch because they had already waited behind
-    /// their event loop past the request deadline (answered `503` +
-    /// `Retry-After`).
-    pub queue_shed: AtomicU64,
-    /// Requests whose evaluation was cancelled at the deadline (answered
-    /// `504` with partial-progress stats).
-    pub deadline_timeouts: AtomicU64,
-}
-
-impl ResilienceMetrics {
-    /// Bumps a counter by one.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Appends every metric declared under `section`, in declaration order,
+    /// to the object `into`.
+    pub(crate) fn render_section(&self, section: &str, into: Json) -> Json {
+        Metric::ALL
+            .iter()
+            .filter(|m| m.path().0 == section)
+            .fold(into, |obj, &m| obj.set(m.path().1, self.get(m)))
     }
 
-    /// Reads a counter.
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-}
-
-/// Scan-layer telemetry: what the parallel group scans behind `locate`,
-/// `solve`, and `topk` actually did. Totals accumulate over the process
-/// lifetime; the `last_*` gauges hold the most recent scan so a dashboard
-/// (or the load generator) can see per-request magnitudes without deltas.
-/// All relaxed atomics, exported on `/stats` under `"scan"`.
-#[derive(Debug, Default)]
-pub struct ScanMetrics {
-    scans: AtomicU64,
-    groups_evaluated: AtomicU64,
-    groups_pruned: AtomicU64,
-    scan_micros: AtomicU64,
-    last_groups_evaluated: AtomicU64,
-    last_groups_pruned: AtomicU64,
-    last_scan_micros: AtomicU64,
-}
-
-impl ScanMetrics {
-    /// Records one completed scan: how many groups it walked, how many the
-    /// cost bound discarded (prefilter + prune), and its wall time.
-    pub fn record(&self, evaluated: u64, pruned: u64, micros: u64) {
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        self.groups_evaluated
-            .fetch_add(evaluated, Ordering::Relaxed);
-        self.groups_pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.scan_micros.fetch_add(micros, Ordering::Relaxed);
-        self.last_groups_evaluated
-            .store(evaluated, Ordering::Relaxed);
-        self.last_groups_pruned.store(pruned, Ordering::Relaxed);
-        self.last_scan_micros.store(micros, Ordering::Relaxed);
-    }
-
-    /// Completed scans.
-    pub fn scans(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
-    }
-
-    /// Groups walked across all scans.
-    pub fn groups_evaluated(&self) -> u64 {
-        self.groups_evaluated.load(Ordering::Relaxed)
-    }
-
-    /// Groups the cost bound discarded across all scans.
-    pub fn groups_pruned(&self) -> u64 {
-        self.groups_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Total scan wall time in microseconds.
-    pub fn scan_micros(&self) -> u64 {
-        self.scan_micros.load(Ordering::Relaxed)
-    }
-
-    /// `(groups evaluated, groups pruned, wall µs)` of the most recent scan.
-    pub fn last(&self) -> (u64, u64, u64) {
-        (
-            self.last_groups_evaluated.load(Ordering::Relaxed),
-            self.last_groups_pruned.load(Ordering::Relaxed),
-            self.last_scan_micros.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Transport-layer telemetry: what the socket layer is doing, independent
-/// of which requests it carries. Exported on `/stats` under `"transport"`.
-/// A stall is a parse or flush that had to wait for the socket to become
-/// ready again.
-#[derive(Debug, Default)]
-pub struct TransportMetrics {
-    /// Connections accepted since start.
-    pub accepted: AtomicU64,
-    /// Currently open connections (gauge).
-    pub open_connections: AtomicU64,
-    /// Reads that returned `WouldBlock` mid-message.
-    pub read_stalls: AtomicU64,
-    /// Writes that returned `WouldBlock` mid-response.
-    pub write_stalls: AtomicU64,
-    /// Connections answered `503 server overloaded` because
-    /// `max_connections` were already open.
-    pub overload_shed: AtomicU64,
-}
-
-/// Batch-endpoint telemetry: how much work batching actually amortized.
-/// A batch of `items` queries that resolved to `scans` distinct snapshot
-/// sweeps amortized `items - scans` evaluations. Exported on `/stats`
-/// under `"batch"`.
-#[derive(Debug, Default)]
-pub struct BatchMetrics {
-    batches: AtomicU64,
-    items: AtomicU64,
-    scans: AtomicU64,
-    last_items: AtomicU64,
-    last_scans: AtomicU64,
-    last_batch_micros: AtomicU64,
-}
-
-impl BatchMetrics {
-    /// Records one completed batch request.
-    pub fn record(&self, items: u64, scans: u64, micros: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.items.fetch_add(items, Ordering::Relaxed);
-        self.scans.fetch_add(scans, Ordering::Relaxed);
-        self.last_items.store(items, Ordering::Relaxed);
-        self.last_scans.store(scans, Ordering::Relaxed);
-        self.last_batch_micros.store(micros, Ordering::Relaxed);
-    }
-
-    /// Completed batch requests.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Query items across all batches.
-    pub fn items(&self) -> u64 {
-        self.items.load(Ordering::Relaxed)
-    }
-
-    /// Distinct evaluations actually performed across all batches.
-    pub fn scans(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
-    }
-
-    /// Items answered from another item's evaluation (the amortized work).
-    pub fn amortized_items(&self) -> u64 {
-        self.items().saturating_sub(self.scans())
-    }
-
-    /// `(items, scans, wall µs)` of the most recent batch.
-    pub fn last(&self) -> (u64, u64, u64) {
-        (
-            self.last_items.load(Ordering::Relaxed),
-            self.last_scans.load(Ordering::Relaxed),
-            self.last_batch_micros.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// The server's metrics registry, one [`EndpointMetrics`] per route.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// `/locate`.
-    pub locate: EndpointMetrics,
-    /// `/solve`.
-    pub solve: EndpointMetrics,
-    /// `/solve_batch`.
-    pub solve_batch: EndpointMetrics,
-    /// `/topk`.
-    pub topk: EndpointMetrics,
-    /// `/topk_batch`.
-    pub topk_batch: EndpointMetrics,
-    /// `/health`.
-    pub health: EndpointMetrics,
-    /// `/stats`.
-    pub stats: EndpointMetrics,
-    /// `/reload`.
-    pub reload: EndpointMetrics,
-    /// `/datasets/:name/objects[/:id]` (live insert/delete).
-    pub update: EndpointMetrics,
-    /// Anything unrouted.
-    pub other: EndpointMetrics,
-    /// Survival counters (panics, respawns, shedding, timeouts).
-    pub resilience: ResilienceMetrics,
-    /// Group-scan telemetry (evaluated/pruned groups, scan wall time).
-    pub scan: ScanMetrics,
-    /// Socket-layer telemetry (connections, queue depth, stalls).
-    pub transport: TransportMetrics,
-    /// Batch-endpoint amortization telemetry.
-    pub batch: BatchMetrics,
-}
-
-impl Metrics {
-    /// Iterates `(route name, endpoint metrics)` in display order.
-    pub fn endpoints(&self) -> [(&'static str, &EndpointMetrics); 10] {
-        [
-            ("locate", &self.locate),
-            ("solve", &self.solve),
-            ("solve_batch", &self.solve_batch),
-            ("topk", &self.topk),
-            ("topk_batch", &self.topk_batch),
-            ("health", &self.health),
-            ("stats", &self.stats),
-            ("reload", &self.reload),
-            ("update", &self.update),
-            ("other", &self.other),
-        ]
+    /// The `/stats` `endpoints` object: one latency summary per route.
+    pub(crate) fn render_endpoints(&self) -> Json {
+        Route::ALL.iter().fold(Json::obj(), |obj, &r| {
+            obj.set(
+                r.name(),
+                Json::obj()
+                    .set("requests", self.requests(r))
+                    .set("errors", self.errors(r))
+                    .set("mean_us", self.mean_micros(r))
+                    .set("p50_us", self.quantile_micros(r, 0.5))
+                    .set("p99_us", self.quantile_micros(r, 0.99)),
+            )
+        })
     }
 }
 
@@ -300,75 +386,87 @@ mod tests {
 
     #[test]
     fn records_counts_and_errors() {
-        let m = EndpointMetrics::default();
-        m.record(10, false);
-        m.record(20, true);
-        m.record(30, false);
-        assert_eq!(m.requests(), 3);
-        assert_eq!(m.errors(), 1);
-        assert_eq!(m.mean_micros(), 20.0);
+        let m = Registry::default();
+        m.record_request(Route::Solve, 10, false);
+        m.record_request(Route::Solve, 20, true);
+        m.record_request(Route::Solve, 30, false);
+        assert_eq!(m.requests(Route::Solve), 3);
+        assert_eq!(m.errors(Route::Solve), 1);
+        assert_eq!(m.mean_micros(Route::Solve), 20.0);
+        assert_eq!(m.requests(Route::Topk), 0);
     }
 
     #[test]
     fn quantiles_bracket_the_samples() {
-        let m = EndpointMetrics::default();
+        let m = Registry::default();
         for _ in 0..99 {
-            m.record(100, false); // bucket for 100 µs: [64, 128)
+            m.record_request(Route::Locate, 100, false); // bucket [64, 128)
         }
-        m.record(100_000, false); // one slow outlier
-        let p50 = m.quantile_micros(0.5);
+        m.record_request(Route::Locate, 100_000, false); // one slow outlier
+        let p50 = m.quantile_micros(Route::Locate, 0.5);
         assert!((64..=128).contains(&p50), "p50 = {p50}");
-        let p99 = m.quantile_micros(0.99);
+        let p99 = m.quantile_micros(Route::Locate, 0.99);
         assert!(p99 <= 128, "p99 = {p99}");
-        let p100 = m.quantile_micros(1.0);
+        let p100 = m.quantile_micros(Route::Locate, 1.0);
         assert!(p100 >= 65_536, "p100 = {p100}");
     }
 
     #[test]
     fn empty_histogram_reports_zero() {
-        let m = EndpointMetrics::default();
-        assert_eq!(m.quantile_micros(0.5), 0);
-        assert_eq!(m.mean_micros(), 0.0);
+        let m = Registry::default();
+        assert_eq!(m.quantile_micros(Route::Locate, 0.5), 0);
+        assert_eq!(m.mean_micros(Route::Locate), 0.0);
     }
 
     #[test]
     fn zero_latency_lands_in_bucket_zero() {
-        let m = EndpointMetrics::default();
-        m.record(0, false);
-        assert_eq!(m.quantile_micros(1.0), 0);
+        let m = Registry::default();
+        m.record_request(Route::Health, 0, false);
+        assert_eq!(m.quantile_micros(Route::Health, 1.0), 0);
+        // 1 µs is bucket 1, whose upper edge is 2 µs.
+        m.record_request(Route::Stats, 1, false);
+        assert_eq!(m.quantile_micros(Route::Stats, 1.0), 2);
     }
 
     #[test]
     fn resilience_counters_bump_independently() {
-        let m = Metrics::default();
-        ResilienceMetrics::bump(&m.resilience.panics_caught);
-        ResilienceMetrics::bump(&m.resilience.panics_caught);
-        ResilienceMetrics::bump(&m.resilience.queue_shed);
-        assert_eq!(ResilienceMetrics::get(&m.resilience.panics_caught), 2);
-        assert_eq!(ResilienceMetrics::get(&m.resilience.queue_shed), 1);
-        assert_eq!(ResilienceMetrics::get(&m.resilience.workers_respawned), 0);
-        assert_eq!(ResilienceMetrics::get(&m.resilience.deadline_timeouts), 0);
+        let m = Registry::default();
+        m.inc(Metric::PanicsCaught);
+        m.inc(Metric::PanicsCaught);
+        m.inc(Metric::QueueShed);
+        assert_eq!(m.get(Metric::PanicsCaught), 2);
+        assert_eq!(m.get(Metric::QueueShed), 1);
+        assert_eq!(m.get(Metric::WorkersRespawned), 0);
+        assert_eq!(m.get(Metric::DeadlineTimeouts), 0);
+        let rendered = m.render_section("resilience", Json::obj());
+        assert_eq!(
+            rendered.encode(),
+            r#"{"panics_caught":2,"workers_respawned":0,"queue_shed":1,"deadline_timeouts":0}"#
+        );
     }
 
     #[test]
     fn scan_metrics_accumulate_totals_and_track_last() {
-        let m = ScanMetrics::default();
-        assert_eq!(m.scans(), 0);
-        assert_eq!(m.last(), (0, 0, 0));
-        m.record(100, 40, 2_000);
-        m.record(60, 10, 500);
-        assert_eq!(m.scans(), 2);
-        assert_eq!(m.groups_evaluated(), 160);
-        assert_eq!(m.groups_pruned(), 50);
-        assert_eq!(m.scan_micros(), 2_500);
-        assert_eq!(m.last(), (60, 10, 500));
+        let m = Registry::default();
+        for (evaluated, micros) in [(100, 2_000), (60, 500)] {
+            m.add(Metric::GroupsEvaluated, evaluated);
+            m.add(Metric::ScanTimeUs, micros);
+            m.set(Metric::LastGroupsEvaluated, evaluated);
+            m.set(Metric::LastScanUs, micros);
+        }
+        assert_eq!(m.get(Metric::GroupsEvaluated), 160);
+        assert_eq!(m.get(Metric::ScanTimeUs), 2_500);
+        assert_eq!(m.get(Metric::LastGroupsEvaluated), 60);
+        assert_eq!(m.get(Metric::LastScanUs), 500);
+        // An up-down gauge returns to zero.
+        m.add(Metric::OpenConnections, 3);
+        m.sub(Metric::OpenConnections, 3);
+        assert_eq!(m.get(Metric::OpenConnections), 0);
     }
 
     #[test]
     fn registry_enumerates_all_routes() {
-        let m = Metrics::default();
-        m.locate.record(5, false);
-        let names: Vec<&str> = m.endpoints().iter().map(|(n, _)| *n).collect();
+        let names: Vec<&str> = Route::ALL.iter().map(|r| r.name()).collect();
         assert_eq!(
             names,
             [
@@ -384,18 +482,53 @@ mod tests {
                 "other"
             ]
         );
-        assert_eq!(m.endpoints()[0].1.requests(), 1);
+        for r in Route::ALL {
+            let path = match r {
+                Route::Update => "/datasets/d/objects/3".to_string(),
+                Route::Other => "/nope".to_string(),
+                r => format!("/{}", r.name()),
+            };
+            assert_eq!(Route::of(&path), r, "{path}");
+        }
+        let m = Registry::default();
+        m.record_request(Route::Locate, 5, false);
+        let endpoints = m.render_endpoints();
+        let locate = endpoints.get("locate").unwrap();
+        assert_eq!(locate.get("requests").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            endpoints
+                .get("other")
+                .unwrap()
+                .get("requests")
+                .unwrap()
+                .as_u64(),
+            Some(0)
+        );
     }
 
     #[test]
     fn batch_metrics_track_amortization() {
-        let b = BatchMetrics::default();
-        b.record(8, 3, 1_000);
-        b.record(4, 4, 200);
-        assert_eq!(b.batches(), 2);
-        assert_eq!(b.items(), 12);
-        assert_eq!(b.scans(), 7);
-        assert_eq!(b.amortized_items(), 5);
-        assert_eq!(b.last(), (4, 4, 200));
+        let m = Registry::default();
+        for (items, scans) in [(8, 3), (4, 4)] {
+            m.inc(Metric::Batches);
+            m.add(Metric::BatchItems, items);
+            m.add(Metric::BatchScans, scans);
+        }
+        assert_eq!(m.get(Metric::Batches), 2);
+        assert_eq!(m.get(Metric::AmortizedItems), 5);
+        let batch = m.render_section("batch", Json::obj());
+        assert_eq!(batch.get("items").unwrap().as_u64(), Some(12));
+        assert_eq!(batch.get("scans").unwrap().as_u64(), Some(7));
+        assert_eq!(batch.get("amortized_items").unwrap().as_u64(), Some(5));
+    }
+
+    #[test]
+    fn every_declared_path_is_unique() {
+        for (i, a) in Metric::ALL.iter().enumerate() {
+            assert_eq!(*a as usize, i, "{a:?} is out of declaration order");
+            for b in &Metric::ALL[i + 1..] {
+                assert_ne!(a.path(), b.path(), "{a:?} and {b:?} share a /stats key");
+            }
+        }
     }
 }

@@ -19,10 +19,10 @@
 //!   event loop that called it lives on.
 
 use crate::cache::{CacheKey, LocateCache};
-use crate::engine::{Engine, ReloadError, Snapshot, UpdateError};
+use crate::engine::{DurabilityReport, Engine, ReloadError, Snapshot, UpdateError};
 use crate::fault::{self, FaultAction};
 use crate::json::Json;
-use crate::metrics::{EndpointMetrics, Metrics, ResilienceMetrics};
+use crate::metrics::{Metric, Registry, Route};
 use molq_core::prelude::*;
 use molq_core::weights::wgd;
 use molq_geom::Point;
@@ -213,18 +213,16 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The MOLQ service: one engine + cache + metrics.
+/// The MOLQ service: one engine (which owns the metrics registry) + cache.
 pub struct Service {
     engine: Engine,
     cache: LocateCache<LocateAnswer>,
-    metrics: Metrics,
     config: ServiceConfig,
     exec: ExecConfig,
 }
 
 impl Service {
-    /// Wraps an engine with a default-sized cache, fresh metrics, and
-    /// default config.
+    /// Wraps an engine with a default-sized cache and default config.
     pub fn new(engine: Engine) -> Service {
         Service::with_config(engine, ServiceConfig::default())
     }
@@ -238,7 +236,6 @@ impl Service {
         Service {
             engine,
             cache: LocateCache::new(CACHE_SHARDS, CACHE_CAPACITY),
-            metrics: Metrics::default(),
             config,
             exec,
         }
@@ -250,9 +247,9 @@ impl Service {
         &self.engine
     }
 
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The engine's metrics registry.
+    pub fn metrics(&self) -> &Registry {
+        self.engine.metrics()
     }
 
     /// The service configuration.
@@ -267,45 +264,32 @@ impl Service {
     /// — and killing — the calling event loop.
     pub fn handle(&self, req: &Request) -> ApiResponse {
         let start = Instant::now();
-        let endpoint = self.endpoint_for(&req.path);
-        let response = catch_unwind(AssertUnwindSafe(|| self.dispatch(req))).unwrap_or_else(|_| {
-            ResilienceMetrics::bump(&self.metrics.resilience.panics_caught);
-            ApiError::new(500, "request handler panicked (worker survived)".into()).into_response()
-        });
-        let micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        endpoint.record(micros, response.is_error());
+        let route = Route::of(&req.path);
+        let response =
+            catch_unwind(AssertUnwindSafe(|| self.dispatch(route, req))).unwrap_or_else(|_| {
+                self.metrics().inc(Metric::PanicsCaught);
+                ApiError::new(500, "request handler panicked (worker survived)".into())
+                    .into_response()
+            });
+        self.metrics()
+            .record_request(route, micros_since(start), response.is_error());
         response
     }
 
-    fn endpoint_for(&self, path: &str) -> &EndpointMetrics {
-        match path {
-            "/locate" => &self.metrics.locate,
-            "/solve" => &self.metrics.solve,
-            "/solve_batch" => &self.metrics.solve_batch,
-            "/topk" => &self.metrics.topk,
-            "/topk_batch" => &self.metrics.topk_batch,
-            "/health" => &self.metrics.health,
-            "/stats" => &self.metrics.stats,
-            "/reload" => &self.metrics.reload,
-            p if p.starts_with("/datasets/") => &self.metrics.update,
-            _ => &self.metrics.other,
-        }
-    }
-
-    fn dispatch(&self, req: &Request) -> ApiResponse {
+    fn dispatch(&self, route: Route, req: &Request) -> ApiResponse {
         let result = fault::fail_point("service.handle")
             .map_err(|e| ApiError::new(500, format!("injected failure: {e}")))
-            .and_then(|()| match req.path.as_str() {
-                "/locate" => self.locate(req),
-                "/solve" => self.solve(req),
-                "/solve_batch" => self.batch(req, BatchKind::Solve),
-                "/topk" => self.topk(req),
-                "/topk_batch" => self.batch(req, BatchKind::Topk),
-                "/health" => Ok(self.health()),
-                "/stats" => Ok(self.stats()),
-                "/reload" => self.reload(req),
-                p if p.starts_with("/datasets/") => self.update(req),
-                _ => Err(ApiError::not_found(format!("no route {:?}", req.path))),
+            .and_then(|()| match route {
+                Route::Locate => self.locate(req),
+                Route::Solve => self.solve(req),
+                Route::SolveBatch => self.batch(req, BatchKind::Solve),
+                Route::Topk => self.topk(req),
+                Route::TopkBatch => self.batch(req, BatchKind::Topk),
+                Route::Health => Ok(self.health()),
+                Route::Stats => Ok(self.stats()),
+                Route::Reload => self.reload(req),
+                Route::Update => self.update(req),
+                Route::Other => Err(ApiError::not_found(format!("no route {:?}", req.path))),
             });
         result.unwrap_or_else(ApiError::into_response)
     }
@@ -330,7 +314,7 @@ impl Service {
 
     /// Converts a timed-out evaluation into a `504` carrying how far it got.
     fn timeout_error(&self, completed: usize, total: usize) -> ApiError {
-        ResilienceMetrics::bump(&self.metrics.resilience.deadline_timeouts);
+        self.metrics().inc(Metric::DeadlineTimeouts);
         ApiError {
             progress: Some((completed, total)),
             ..ApiError::new(
@@ -340,15 +324,21 @@ impl Service {
         }
     }
 
-    /// Records one optimizer scan into the scan telemetry: every OVR group
-    /// the scan walked, how many the cost bound discarded, and the scan's
-    /// wall time since `start`.
+    /// Records one group scan into the `scan` metrics: every OVR group the
+    /// scan walked, how many the cost bound discarded, the Fermat–Weber
+    /// iterations it ran, and its wall time since `start`.
     fn record_scan(&self, groups: usize, stats: &molq_fw::BatchStats, start: Instant) {
-        self.metrics.scan.record(
-            groups as u64,
-            (stats.prefiltered_groups + stats.pruned_groups) as u64,
-            start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        );
+        let m = self.metrics();
+        let micros = micros_since(start);
+        let pruned = (stats.prefiltered_groups + stats.pruned_groups) as u64;
+        m.inc(Metric::Scans);
+        m.add(Metric::GroupsEvaluated, groups as u64);
+        m.add(Metric::GroupsPruned, pruned);
+        m.add(Metric::ScanTimeUs, micros);
+        m.add(Metric::ScanIterations, stats.iterations as u64);
+        m.set(Metric::LastGroupsEvaluated, groups as u64);
+        m.set(Metric::LastGroupsPruned, pruned);
+        m.set(Metric::LastScanUs, micros);
     }
 
     /// Maps a core error: `Cancelled` → `504` + progress, the rest → `400`.
@@ -391,8 +381,12 @@ impl Service {
             cell,
         };
         let (answer, cached) = match self.cache.get(&key) {
-            Some(hit) => (hit, true),
+            Some(hit) => {
+                self.metrics().inc(Metric::CacheHits);
+                (hit, true)
+            }
             None => {
+                self.metrics().inc(Metric::CacheMisses);
                 let cancel = self.cancel_token(req)?;
                 let answer = Arc::new(self.locate_uncached(&snap, snapped, &cancel)?);
                 self.cache.insert(key, Arc::clone(&answer));
@@ -464,11 +458,7 @@ impl Service {
                 best = Some((id, cost));
             }
         }
-        self.metrics.scan.record(
-            ids.len() as u64,
-            0,
-            start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        );
+        self.record_scan(ids.len(), &molq_fw::BatchStats::default(), start);
         let (ovr_id, cost) = best.ok_or_else(|| {
             ApiError::not_found(format!("({}, {}) is not covered by any OVR", l.x, l.y))
         })?;
@@ -613,9 +603,15 @@ impl Service {
                     .set("body", body),
             );
         }
-        let micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        let micros = micros_since(start);
         let items_n = items.len() as u64;
-        self.metrics.batch.record(items_n, scans, micros);
+        let m = self.metrics();
+        m.inc(Metric::Batches);
+        m.add(Metric::BatchItems, items_n);
+        m.add(Metric::BatchScans, scans);
+        m.set(Metric::LastBatchItems, items_n);
+        m.set(Metric::LastBatchScans, scans);
+        m.set(Metric::LastBatchUs, micros);
         Ok(ApiResponse::ok(
             Json::obj().set("results", results).set(
                 "batch",
@@ -694,62 +690,35 @@ impl Service {
                         .collect::<Vec<_>>(),
                 )
                 .set("breakers", breakers)
-                .set(
-                    "durability",
-                    Json::obj().set("degraded", durability.degraded).set(
-                        "last_error",
-                        match durability.last_error {
-                            Some(e) => Json::Str(e),
-                            None => Json::Null,
-                        },
-                    ),
-                ),
+                .set("durability", storage_health(Json::obj(), durability)),
         )
     }
 
-    /// `GET /stats` — per-endpoint counters/latency, cache, datasets.
+    /// `GET /stats` — every registry metric, rendered section by section,
+    /// plus the per-dataset views the registry does not hold.
     fn stats(&self) -> ApiResponse {
-        let mut endpoints = Json::obj();
-        for (name, m) in self.metrics.endpoints() {
-            endpoints = endpoints.set(
-                name,
-                Json::obj()
-                    .set("requests", m.requests())
-                    .set("errors", m.errors())
-                    .set("mean_us", m.mean_micros())
-                    .set("p50_us", m.quantile_micros(0.5))
-                    .set("p99_us", m.quantile_micros(0.99)),
-            );
-        }
-        let (hits, misses) = self.cache.counters();
-        let datasets = self
+        let m = self.metrics();
+        let snapshots: Vec<Arc<Snapshot>> = self
             .engine
             .names()
             .iter()
             .filter_map(|n| self.engine.get(n))
+            .collect();
+        let datasets = snapshots
+            .iter()
             .map(|s| {
                 Json::obj()
                     .set("name", s.spec.name.as_str())
                     .set("generation", s.generation)
                     .set("epoch", s.update_epoch)
-                    .set(
-                        "mode",
-                        if s.build_meta.mode.is_approx() {
-                            "approx"
-                        } else {
-                            "exact"
-                        },
-                    )
+                    .set("mode", mode_name(s.build_meta.mode))
                     .set("sets", s.set_count())
                     .set("objects", s.object_count())
                     .set("ovrs", s.index.len())
             })
             .collect::<Vec<_>>();
-        let approx = self
-            .engine
-            .names()
+        let approx = snapshots
             .iter()
-            .filter_map(|n| self.engine.get(n))
             .filter(|s| s.build_meta.mode.is_approx())
             .map(|s| {
                 let b = &s.build_meta;
@@ -774,45 +743,8 @@ impl Service {
                     .set("target_generation", generation)
             })
             .collect::<Vec<_>>();
-        let r = &self.metrics.resilience;
-        let resilience = Json::obj()
-            .set("panics_caught", ResilienceMetrics::get(&r.panics_caught))
-            .set(
-                "workers_respawned",
-                ResilienceMetrics::get(&r.workers_respawned),
-            )
-            .set("queue_shed", ResilienceMetrics::get(&r.queue_shed))
-            .set(
-                "deadline_timeouts",
-                ResilienceMetrics::get(&r.deadline_timeouts),
-            );
-        let s = &self.metrics.scan;
-        let (last_evaluated, last_pruned, last_us) = s.last();
-        let scan = Json::obj()
-            .set("threads", self.config.threads)
-            .set("scans", s.scans())
-            .set("groups_evaluated", s.groups_evaluated())
-            .set("groups_pruned", s.groups_pruned())
-            .set("scan_time_us", s.scan_micros())
-            .set("last_groups_evaluated", last_evaluated)
-            .set("last_groups_pruned", last_pruned)
-            .set("last_scan_us", last_us);
-        let u = self.engine.update_stats();
-        let updates = Json::obj()
-            .set("applied", u.applied)
-            .set("rejected", u.rejected)
-            .set("replayed", u.replayed)
-            .set("compactions", u.compactions)
-            .set("full_rebuilds", u.full_rebuilds)
-            .set("cells_reclipped", u.cells_reclipped)
-            .set("patch_time_us", u.patch_micros_total)
-            .set("last_patch_us", u.last_patch_micros);
-        let ar = self.engine.arena_stats();
-        let buffers = self
-            .engine
-            .names()
+        let buffers = snapshots
             .iter()
-            .filter_map(|n| self.engine.get(n))
             .map(|s| {
                 let b = s.index.arena().buffer_bytes();
                 Json::obj()
@@ -826,69 +758,36 @@ impl Service {
                     .set("total", b.total())
             })
             .collect::<Vec<_>>();
-        let arena_stats = Json::obj()
-            .set("buffers", buffers)
-            .set("last_restore_copy_us", ar.last_restore_copy_micros)
-            .set("last_restore_validate_us", ar.last_restore_validate_micros)
-            .set("segments_copied_total", ar.segments_copied_total)
-            .set("last_segments_copied", ar.last_segments_copied);
-        let dr = self.engine.durability();
-        let durability = Json::obj()
-            .set("append_failures", dr.append_failures)
-            .set("save_retries", dr.save_retries)
-            .set("save_failures", dr.save_failures)
-            .set("salvages", dr.salvages)
-            .set("torn_tails", dr.torn_tails)
-            .set("journals_set_aside", dr.journals_set_aside)
-            .set("tmp_swept", dr.tmp_swept)
-            .set("degraded", dr.degraded)
-            .set(
-                "last_error",
-                match dr.last_error {
-                    Some(e) => Json::Str(e),
-                    None => Json::Null,
-                },
-            );
-        let t = &self.metrics.transport;
-        let transport = Json::obj()
-            .set("accepted", ResilienceMetrics::get(&t.accepted))
-            .set(
-                "open_connections",
-                ResilienceMetrics::get(&t.open_connections),
-            )
-            .set("read_stalls", ResilienceMetrics::get(&t.read_stalls))
-            .set("write_stalls", ResilienceMetrics::get(&t.write_stalls))
-            .set("overload_shed", ResilienceMetrics::get(&t.overload_shed));
-        let b = &self.metrics.batch;
-        let (last_items, last_scans, last_batch_us) = b.last();
-        let batch = Json::obj()
-            .set("batches", b.batches())
-            .set("items", b.items())
-            .set("scans", b.scans())
-            .set("amortized_items", b.amortized_items())
-            .set("last_items", last_items)
-            .set("last_scans", last_scans)
-            .set("last_batch_us", last_batch_us);
         ApiResponse::ok(
             Json::obj()
-                .set("endpoints", endpoints)
+                .set("endpoints", m.render_endpoints())
                 .set(
                     "cache",
-                    Json::obj()
-                        .set("hits", hits)
-                        .set("misses", misses)
+                    m.render_section("cache", Json::obj())
                         .set("entries", self.cache.len()),
                 )
                 .set("datasets", datasets)
                 .set("approx", approx)
                 .set("builds", builds)
-                .set("resilience", resilience)
-                .set("scan", scan)
-                .set("updates", updates)
-                .set("arena_stats", arena_stats)
-                .set("durability", durability)
-                .set("transport", transport)
-                .set("batch", batch),
+                .set("resilience", m.render_section("resilience", Json::obj()))
+                .set(
+                    "scan",
+                    m.render_section("scan", Json::obj().set("threads", self.config.threads)),
+                )
+                .set("updates", m.render_section("updates", Json::obj()))
+                .set(
+                    "arena_stats",
+                    m.render_section("arena_stats", Json::obj().set("buffers", buffers)),
+                )
+                .set(
+                    "durability",
+                    storage_health(
+                        m.render_section("durability", Json::obj()),
+                        self.engine.durability(),
+                    ),
+                )
+                .set("transport", m.render_section("transport", Json::obj()))
+                .set("batch", m.render_section("batch", Json::obj())),
         )
     }
 
@@ -930,14 +829,7 @@ impl Service {
                 Json::obj()
                     .set("dataset", snap.spec.name.as_str())
                     .set("generation", snap.generation)
-                    .set(
-                        "mode",
-                        if snap.build_meta.mode.is_approx() {
-                            "approx"
-                        } else {
-                            "exact"
-                        },
-                    )
+                    .set("mode", mode_name(snap.build_meta.mode))
                     .set("epsilon", snap.build_meta.mode.epsilon())
                     .set("status", "ready"),
             ));
@@ -1018,7 +910,6 @@ impl Service {
             .map_err(|e| match e {
                 UpdateError::NotFound(m) => ApiError::not_found(m),
                 UpdateError::Rejected(m) => ApiError::bad_request(m),
-                UpdateError::Conflict(m) => ApiError::new(409, m),
                 // 507 Insufficient Storage: applied in memory but could not
                 // be made durable; the engine rolled it back.
                 UpdateError::Durability(m) => ApiError::new(507, m),
@@ -1042,6 +933,31 @@ impl Service {
                 ),
         ))
     }
+}
+
+/// Microseconds since `start`, saturating.
+fn micros_since(start: Instant) -> u64 {
+    start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+/// A build mode's name on the wire.
+fn mode_name(mode: BuildMode) -> &'static str {
+    if mode.is_approx() {
+        "approx"
+    } else {
+        "exact"
+    }
+}
+
+/// Appends the storage-health fields `/health` and `/stats` share.
+fn storage_health(into: Json, d: DurabilityReport) -> Json {
+    into.set("degraded", d.degraded).set(
+        "last_error",
+        match d.last_error {
+            Some(e) => Json::Str(e),
+            None => Json::Null,
+        },
+    )
 }
 
 /// Resolves the required `set=` parameter against a snapshot: by set name
@@ -1180,8 +1096,7 @@ fn parse_batch_items(req: &Request, kind: BatchKind) -> Result<Vec<BatchItem>, A
 }
 
 /// Maps a rebuild error: open breaker → `503` + `Retry-After` (rounded up
-/// to whole seconds), a lost publish race → `409` (as for live updates),
-/// anything else → `400`.
+/// to whole seconds), a lost publish race → `409`, anything else → `400`.
 fn reload_error(e: ReloadError) -> ApiError {
     let message = e.to_string();
     match e {
@@ -1299,6 +1214,11 @@ mod tests {
         assert_eq!(solve.status, 200, "{:?}", solve.body);
         let cost = solve.body.get("cost").unwrap().as_f64().unwrap();
         assert!((cost - direct.cost).abs() <= 1e-9 * direct.cost);
+        // Every OVR of three layers is a 3-object group, solved exactly;
+        // the iterations of interior 3-point optima still count.
+        let stats = svc.handle(&Request::get("/stats", &[]));
+        let scan = stats.body.get("scan").unwrap();
+        assert!(scan.get("iterations").unwrap().as_u64().unwrap() > 0);
 
         let topk = svc.handle(&Request::get("/topk", &[("k", "3")]));
         assert_eq!(topk.status, 200, "{:?}", topk.body);

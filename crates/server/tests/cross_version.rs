@@ -10,6 +10,7 @@
 //! path long after the v1 writer is gone.
 
 use molq_server::engine::{DatasetSpec, Engine, LoadOutcome};
+use molq_server::metrics::Metric;
 use molq_server::service::{Request, Service};
 use molq_store::StoreError;
 use std::path::{Path, PathBuf};
@@ -76,12 +77,19 @@ fn v1_snapshot_degrades_to_csv_rebuild_with_matching_answers() {
 
     // A rejected old-format file is staleness, not storage damage: the
     // durability counters stay untouched and the engine is not degraded.
-    let d = engine.durability();
-    assert_eq!(d.save_failures, 0);
-    assert_eq!(d.salvages, 0);
-    assert_eq!(d.torn_tails, 0);
-    assert_eq!(d.journals_set_aside, 0);
-    assert!(!d.degraded, "version staleness must not degrade the engine");
+    let m = engine.metrics();
+    for counter in [
+        Metric::SaveFailures,
+        Metric::Salvages,
+        Metric::TornTails,
+        Metric::JournalsSetAside,
+    ] {
+        assert_eq!(m.get(counter), 0, "{counter:?}");
+    }
+    assert!(
+        !engine.durability().degraded,
+        "version staleness must not degrade the engine"
+    );
 
     // The rebuilt engine answers byte-for-byte like one built from the same
     // CSVs with no snapshot machinery at all.

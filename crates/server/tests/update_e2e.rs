@@ -9,6 +9,7 @@
 use molq_core::prelude::*;
 use molq_geom::{Mbr, Point};
 use molq_server::engine::{DatasetSpec, Engine, LoadOutcome};
+use molq_server::metrics::Metric;
 use molq_server::service::{Request, Service};
 
 fn pseudo_set(name: &str, w_t: f64, n: usize, seed: u64) -> ObjectSet {
@@ -152,7 +153,7 @@ fn restart_replays_the_journal_to_identical_served_bytes() {
         sets.iter().map(|s| s.objects.len()).sum::<usize>()
     );
     let restored = Service::new(engine);
-    assert_eq!(restored.engine().update_stats().replayed, 4);
+    assert_eq!(restored.metrics().get(Metric::UpdatesReplayed), 4);
     // Reopening truncated the torn tail.
     assert_eq!(std::fs::metadata(&journal).unwrap().len(), clean_len);
 
