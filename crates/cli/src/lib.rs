@@ -518,12 +518,17 @@ struct OfflineLive {
 
 fn open_live(flags: &Flags) -> Result<OfflineLive, String> {
     use molq_server::engine::{apply_one, update_of};
+    use molq_store::JournalDisposition;
 
     let dir = std::path::PathBuf::from(flags.get("dir").ok_or("--dir is required")?);
     let name = flags.get("name").unwrap_or("default");
-    let path = dir.join(format!("{name}.molq"));
-    let stored = molq_store::StoredSnapshot::load_file(&path)
+    let path = molq_store::snapshot_path(&dir, name);
+    let jpath = molq_store::journal_path(&dir, name);
+    // The server's recovery ladder reads the base and the journal, and
+    // checks the journal's dataset and epoch against the base.
+    let recovery = molq_store::recover(&molq_store::RealVfs, &dir, name)
         .map_err(|e| format!("{}: {e}", path.display()))?;
+    let stored = recovery.base;
     if stored.build.mode.is_approx() {
         return Err(format!(
             "{}: snapshot was built in approximate mode (ε = {}); the incremental patch \
@@ -532,6 +537,27 @@ fn open_live(flags: &Flags) -> Result<OfflineLive, String> {
             stored.build.mode.epsilon()
         ));
     }
+    let salvage_note = match recovery.disposition {
+        // Unlike the server, an offline edit refuses a journal it would
+        // have to set aside.
+        JournalDisposition::SetAside { reason } => {
+            return Err(format!("{}: {reason}", jpath.display()))
+        }
+        // Same recovery the server runs: replay the valid prefix; the
+        // reopen below truncates the defective tail.
+        JournalDisposition::Salvaged {
+            dropped_bytes,
+            defect,
+        } => format!(
+            "warning: {}: tail corrupt ({defect}); salvaged the {}-record prefix, \
+             dropping {dropped_bytes} byte(s)\n",
+            jpath.display(),
+            recovery.records.len(),
+        ),
+        JournalDisposition::Missing
+        | JournalDisposition::Clean
+        | JournalDisposition::TornTail { .. } => String::new(),
+    };
     let inferred = stored.explicit_bounds.is_none();
     let exec = exec_flag(flags, ExecConfig::default())?;
     let index = MovdIndex::from_arena(stored.movd.clone(), stored.grid.clone())?;
@@ -540,47 +566,18 @@ fn open_live(flags: &Flags) -> Result<OfflineLive, String> {
 
     // Replay what the journal already holds so the new update lands on top
     // of the full history (exactly what the server replays on restart).
-    let jpath = molq_store::journal_path(&dir, &stored.name);
-    let mut replayed = 0;
-    let mut salvage_note = String::new();
-    if jpath.exists() {
-        let j =
-            molq_store::load_journal(&jpath).map_err(|e| format!("{}: {e}", jpath.display()))?;
-        if j.name != stored.name || j.epoch != stored.update_epoch {
-            return Err(format!(
-                "{}: journal is stale (dataset {:?} epoch {}, base {:?} epoch {})",
-                jpath.display(),
-                j.name,
-                j.epoch,
-                stored.name,
-                stored.update_epoch
-            ));
-        }
-        if let Some(defect) = &j.defect {
-            // Same recovery the server runs: replay the valid prefix; the
-            // reopen below truncates the defective tail.
-            salvage_note = format!(
-                "warning: {}: tail corrupt ({defect}); salvaged the {}-record prefix, \
-                 dropping {} byte(s)\n",
-                jpath.display(),
-                j.records.len(),
-                j.salvaged_bytes
-            );
-        }
-        for record in &j.records {
-            apply_one(&mut live, inferred, &update_of(record))
-                .map_err(|e| format!("{}: replay failed: {e}", jpath.display()))?;
-            replayed += 1;
-        }
+    for record in &recovery.records {
+        apply_one(&mut live, inferred, &update_of(record))
+            .map_err(|e| format!("{}: replay failed: {e}", jpath.display()))?;
     }
     let journal = molq_store::Journal::open_or_create(&jpath, &stored.name, stored.update_epoch)
         .map_err(|e| format!("{}: {e}", jpath.display()))?;
     Ok(OfflineLive {
         path,
+        replayed: recovery.records.len(),
         stored,
         live,
         journal,
-        replayed,
         salvage_note,
     })
 }
@@ -663,7 +660,9 @@ fn update_remove(flags: &Flags) -> Result<String, String> {
 }
 
 /// Folds the journal into a new base file at epoch + 1 and resets the
-/// journal, exactly like the server's compaction.
+/// journal: the one compaction path. The new base keeps the old one's
+/// source fingerprint, so a server restarted on the same CSVs restores it
+/// without replay.
 fn update_compact(flags: &Flags) -> Result<String, String> {
     let mut st = open_live(flags)?;
     let new_epoch = st.stored.update_epoch + 1;

@@ -21,16 +21,24 @@
 //! ticket immediately and swaps the new snapshot in when the build finishes,
 //! so an HTTP reload does not hold a connection open for the whole overlap.
 //!
-//! Every publication — load, reload, live update, compaction — holds the
-//! dataset's live-update lock while it assigns the dataset's next
-//! generation under the registry write lock. A live update holds that lock
-//! from reading the served snapshot through its journal append to its
-//! publication, so it can never lose. A snapshot that replaces the
-//! dataset's inputs (`Engine::publish`) is a compare-and-swap instead: it
+//! Each dataset name has one record in one map: the served snapshot that
+//! requests clone, one **writer** that owns the live-update state (the
+//! incremental diagram and its journal), and a short-held status (build
+//! ticket and breaker) that `/health`, `/stats` and background reloads read
+//! without waiting on the writer. Every publication — load, reload,
+//! restore, live update — holds the dataset's writer while it swaps the
+//! served snapshot and assigns the next generation, so generations are
+//! unique and strictly increasing. A live update holds the writer from
+//! reading the served snapshot through its journal append to its swap, so
+//! it can never lose. A snapshot that replaces the dataset's inputs is
+//! built outside any lock and then compare-and-swapped under the writer: it
 //! refuses when the served generation is no longer the one it was derived
 //! from, so a reload that loses to a live update fails with
-//! [`ReloadError::Conflict`] instead of silently dropping the update. A CSV
-//! build saves its base and drops the old journal under the same lock.
+//! [`ReloadError::Conflict`] instead of silently dropping the update. What
+//! the replacement then does on disk — a CSV build saving its base and
+//! dropping the old journal, a restore reopening or setting aside its
+//! journal — runs under the same writer, so no update can be journaled
+//! against a base that is being replaced.
 //!
 //! Rebuilds are guarded by a per-dataset **circuit breaker**
 //! ([`BreakerConfig`]): after `threshold` consecutive build failures the
@@ -51,11 +59,12 @@ use molq_store::{
     journal_path, recover, set_aside_journal, sweep_tmp, Journal, JournalDisposition,
     JournalRecord, RealVfs, Recovery, SourceFingerprint, StoredSnapshot, Vfs,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// How to build (and rebuild) one dataset.
@@ -121,9 +130,10 @@ pub struct Snapshot {
     /// The build recipe (kept for reloads).
     pub spec: DatasetSpec,
     /// Monotonic publish counter for this dataset name, assigned by the
-    /// registry when the snapshot is published (0 until then). Every
-    /// publication — load, reload, live update, compaction — takes the next
-    /// value, so cache keys from older snapshots can never alias new answers.
+    /// dataset's writer when the snapshot is published (0 until then).
+    /// Every publication — load, reload, restore, live update — takes the
+    /// next value, so cache keys from older snapshots can never alias new
+    /// answers.
     pub generation: u64,
     /// The query the MOVD was built from (object sets, weights, bounds, ε).
     pub query: MolqQuery,
@@ -137,7 +147,8 @@ pub struct Snapshot {
     /// Side length of one quantization cell (see [`Snapshot::quantize`]).
     pub quantum: f64,
     /// Live-update epoch: the journal generation this snapshot's persisted
-    /// base belongs to. Bumped by compaction; 0 for a fresh CSV build.
+    /// base belongs to. Bumped by offline compaction (`molq update
+    /// compact`); 0 for a fresh CSV build.
     pub update_epoch: u64,
     /// How the diagram was constructed: the mode, its (1+ε) certified
     /// factor, and the refinement counters for approximate builds.
@@ -281,9 +292,9 @@ pub enum ReloadError {
         /// The failure that (most recently) opened the breaker.
         last_error: String,
     },
-    /// The dataset was republished (by a live update, a compaction or
-    /// another reload) while this rebuild was in flight. Nothing was
-    /// published; the rebuild is safe to retry against the new generation.
+    /// The dataset was republished (by a live update or another reload)
+    /// while this rebuild was in flight. Nothing was published; the rebuild
+    /// is safe to retry against the new generation.
     Conflict(String),
     /// The rebuild itself failed (or the dataset does not exist).
     Failed(String),
@@ -339,6 +350,47 @@ struct BreakerState {
     open_until: Option<Instant>,
 }
 
+impl BreakerState {
+    /// Admission check: refuses while the breaker is open; an expired
+    /// backoff admits one half-open probe.
+    fn admit(&mut self) -> Result<(), ReloadError> {
+        if let Some(open_until) = self.open_until {
+            let now = Instant::now();
+            if now < open_until {
+                return Err(ReloadError::BreakerOpen {
+                    retry_in: open_until - now,
+                    last_error: self.last_error.clone(),
+                });
+            }
+            // Half-open: admit this probe; its outcome decides what's next.
+            self.open_until = None;
+        }
+        Ok(())
+    }
+
+    /// Feeds a rebuild outcome in: success closes the breaker, failure
+    /// counts toward (or extends) the open state with exponential backoff. A
+    /// lost publish race says nothing about the build and changes nothing.
+    fn record<T>(&mut self, result: &Result<T, ReloadError>, cfg: BreakerConfig) {
+        match result {
+            Ok(_) => *self = BreakerState::default(),
+            Err(ReloadError::Conflict(_) | ReloadError::BreakerOpen { .. }) => {}
+            Err(ReloadError::Failed(msg)) => {
+                self.consecutive_failures += 1;
+                self.last_error = msg.clone();
+                if self.consecutive_failures >= cfg.threshold {
+                    let exponent = self.consecutive_failures - cfg.threshold;
+                    let backoff = cfg
+                        .base_backoff
+                        .saturating_mul(1u32 << exponent.min(16))
+                        .min(cfg.max_backoff);
+                    self.open_until = Some(Instant::now() + backoff);
+                }
+            }
+        }
+    }
+}
+
 /// One dataset's breaker state, as reported on `/health`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerReport {
@@ -365,30 +417,50 @@ pub struct ReloadTicket {
     pub already_building: bool,
 }
 
-/// Mutable live-update state of one dataset: the incremental diagram (kept
-/// bit-consistent with the published snapshot) and its journal handle. Held
-/// behind a per-dataset mutex so updates serialize without blocking reads;
-/// every publication of the dataset holds that mutex too, and one that
-/// replaces the dataset's inputs clears the state, so it never goes stale.
-#[derive(Debug)]
-struct LiveState {
-    live: LiveMovd,
-    /// Open journal for appends; `None` when the spec has no snapshot dir.
-    journal: Option<Journal>,
-    /// Epoch of the base this state's journal binds to.
-    epoch: u64,
+/// One dataset: the snapshot readers see, the one writer that changes it,
+/// and the rebuild status `/health` and `/stats` report. A clone is a
+/// handle: it shares the writer and the status, and its `served` is the
+/// snapshot served when it was cloned.
+#[derive(Debug, Clone)]
+struct Dataset {
+    /// The served snapshot: [`Engine::get`] clones it under the map's read
+    /// lock. Only the holder of `writer` replaces it, under the map's write
+    /// lock.
+    served: Arc<Snapshot>,
+    /// The dataset's one writer: every publication holds it.
+    writer: Arc<Mutex<Writer>>,
+    /// Build ticket and breaker. Held briefly and never across I/O, so
+    /// reading it never waits on the writer.
+    status: Arc<Mutex<Status>>,
 }
 
-/// What a publication that replaces a dataset's inputs does with the
-/// dataset's update state, under the same live-update lock as the swap.
-enum Handover {
-    /// Nothing to keep: the next update rehydrates from the new snapshot.
-    Rehydrate,
-    /// A fresh CSV build: save it as the dataset's base (when the spec
-    /// persists) and drop the journal of the replaced base.
-    Persist(SourceFingerprint),
-    /// A restore that replayed its journal: keep the replayed live state.
-    Resume(Box<LiveState>),
+impl Dataset {
+    fn status(&self) -> MutexGuard<'_, Status> {
+        self.status.lock().expect("status lock poisoned")
+    }
+}
+
+/// A dataset's writer: the live-update state mirroring the served
+/// snapshot. Every publication holds it, so no update can land between a
+/// publication and what it does with this state and the files on disk.
+#[derive(Debug, Default)]
+struct Writer {
+    /// The incremental diagram, bit-consistent with the served snapshot;
+    /// `None` until the first live update after a publication that replaced
+    /// the dataset's inputs rehydrates it.
+    live: Option<LiveMovd>,
+    /// The journal `live`'s updates append to, bound to the served
+    /// snapshot's epoch; `None` without a snapshot dir.
+    journal: Option<Journal>,
+}
+
+/// A dataset's rebuild status.
+#[derive(Debug, Default)]
+struct Status {
+    /// Target generation of the background build in flight.
+    building: Option<u64>,
+    /// The rebuild circuit breaker.
+    breaker: BreakerState,
 }
 
 /// Why a live update failed, typed so callers can answer with the right
@@ -455,30 +527,24 @@ pub struct UpdateOutcome {
 
 #[derive(Debug, Default)]
 struct EngineInner {
-    datasets: RwLock<HashMap<String, Arc<Snapshot>>>,
+    /// Dataset name → the dataset's one record.
+    datasets: RwLock<HashMap<String, Dataset>>,
     /// Worker-thread count for Overlapper rebuilds; `0` defers to
     /// [`ExecConfig::default`] (the `MOLQ_THREADS` env, else serial).
     exec_threads: std::sync::atomic::AtomicUsize,
-    /// Dataset name → live-update state (incremental diagram + journal).
-    live: Mutex<HashMap<String, Arc<Mutex<Option<LiveState>>>>>,
     /// Every counter, gauge and latency histogram of the server.
     metrics: Registry,
     /// Storage health (`/health` → `durability`).
     durability: Mutex<DurabilityReport>,
-    /// Dataset name → target generation of the build currently in flight.
-    builds: Mutex<HashMap<String, u64>>,
-    /// Dataset name → rebuild circuit-breaker state.
-    breakers: Mutex<HashMap<String, BreakerState>>,
     /// Breaker policy (settable once at wiring time; defaults apply).
     breaker_config: Mutex<Option<BreakerConfig>>,
-    /// Test hook: artificial delay inserted before every build, so tests can
-    /// observe the non-blocking reload window deterministically.
-    #[cfg(test)]
-    build_delay: Mutex<Option<std::time::Duration>>,
     /// Test hook: named points where the engine pauses once, signalling
     /// the first channel and then waiting on the second.
     #[cfg(test)]
     holds: Mutex<HashMap<&'static str, Hold>>,
+    /// Test hook: threads currently waiting to take a dataset's writer.
+    #[cfg(test)]
+    writers_waiting: std::sync::atomic::AtomicUsize,
 }
 
 /// A test hold: the channel signalled on arrival, and the one waited on.
@@ -550,7 +616,7 @@ impl Engine {
         if spec.paths.is_empty() {
             return Err(format!("dataset {:?} has no input files", spec.name).into());
         }
-        self.maybe_delay_build();
+        self.maybe_hold("build.start");
         let fingerprint = SourceFingerprint::of_paths(&spec.paths)
             .map_err(|e| format!("fingerprinting sources of {:?}: {e}", spec.name))?;
 
@@ -586,11 +652,14 @@ impl Engine {
                 read_csv(&name, f).map_err(|e| format!("{}: {e}", path.display()))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let snap = self.publish(
-            Snapshot::build(spec, sets, self.exec_config())?,
-            derived_from,
-            Handover::Persist(fingerprint),
-        )?;
+        let snapshot = Snapshot::build(spec, sets, self.exec_config())?;
+        // A fresh CSV build starts a clean update history: its base replaces
+        // the old one on disk, and the old journal goes with it.
+        let snap = self.replace(snapshot, derived_from, |writer, snap| {
+            self.maybe_hold("publish.persist");
+            self.persist(snap, fingerprint);
+            *writer = Writer::default();
+        })?;
         Ok((snap, LoadOutcome::BuiltFromCsv))
     }
 
@@ -603,35 +672,23 @@ impl Engine {
         let path = spec.snapshot_file()?;
         // Fault point: simulate a corrupt/unreadable snapshot read, proving
         // the fallback-to-rebuild path without touching the file.
-        if let Err(e) = crate::fault::fail_point("engine.snapshot_read") {
-            eprintln!(
-                "molq-server: snapshot {} unusable (injected: {e}); rebuilding {:?} from CSVs",
-                path.display(),
-                spec.name
-            );
-            return None;
-        }
-        let recovery = match recover(&RealVfs, dir, &spec.name) {
-            Ok(recovery) => recovery,
-            Err(e) if e.is_not_found() => return None,
-            Err(e) => {
-                eprintln!(
-                    "molq-server: snapshot {} unusable ({e}); rebuilding {:?} from CSVs",
-                    path.display(),
-                    spec.name
-                );
-                return None;
-            }
+        let why = match crate::fault::fail_point("engine.snapshot_read") {
+            Err(e) => format!("unusable (injected: {e})"),
+            Ok(()) => match recover(&RealVfs, dir, &spec.name) {
+                Ok(recovery) if snapshot_matches(&recovery.base, spec, fingerprint) => {
+                    return Some(recovery)
+                }
+                Ok(_) => "is stale".to_string(),
+                Err(e) if e.is_not_found() => return None,
+                Err(e) => format!("unusable ({e})"),
+            },
         };
-        if !snapshot_matches(&recovery.base, spec, fingerprint) {
-            eprintln!(
-                "molq-server: snapshot {} is stale; rebuilding {:?} from CSVs",
-                path.display(),
-                spec.name
-            );
-            return None;
-        }
-        Some(recovery)
+        eprintln!(
+            "molq-server: snapshot {} {why}; rebuilding {:?} from CSVs",
+            path.display(),
+            spec.name
+        );
+        None
     }
 
     /// Saves a freshly-built snapshot when the spec asks for persistence.
@@ -733,10 +790,12 @@ impl Engine {
     ) -> Result<Arc<Snapshot>, String> {
         spec.paths.clear();
         let derived_from = self.get(&spec.name).map(|s| s.generation);
-        self.maybe_delay_build();
+        self.maybe_hold("build.start");
         let snapshot = Snapshot::build(spec, sets, self.exec_config())?;
-        self.publish(snapshot, derived_from, Handover::Rehydrate)
-            .map_err(|e| e.to_string())
+        self.replace(snapshot, derived_from, |writer, _| {
+            *writer = Writer::default()
+        })
+        .map_err(|e| e.to_string())
     }
 
     /// Rebuilds the named dataset from its stored spec and swaps it in,
@@ -757,8 +816,8 @@ impl Engine {
         name: &str,
         mode: Option<BuildMode>,
     ) -> Result<Arc<Snapshot>, ReloadError> {
-        let current = self.admit_rebuild(name)?;
-        self.rebuild(&current, mode)
+        let (ds, current) = self.admit_rebuild(name)?;
+        self.rebuild(&ds, &current, mode)
     }
 
     /// Starts a [`reload`](Self::reload) on a background thread and returns
@@ -771,30 +830,25 @@ impl Engine {
         name: &str,
         mode: Option<BuildMode>,
     ) -> Result<ReloadTicket, ReloadError> {
-        let current = self.admit_rebuild(name)?;
-        let mut builds = self.inner.builds.lock().expect("builds lock poisoned");
-        if let Some(&target_generation) = builds.get(name) {
+        let (ds, current) = self.admit_rebuild(name)?;
+        let mut status = ds.status();
+        if let Some(target_generation) = status.building {
             return Ok(ReloadTicket {
                 target_generation,
                 already_building: true,
             });
         }
         let target_generation = current.generation + 1;
-        builds.insert(name.to_string(), target_generation);
-        drop(builds);
+        status.building = Some(target_generation);
+        drop(status);
 
         let engine = self.clone();
         std::thread::spawn(move || {
-            let name = &current.spec.name;
-            if let Err(e) = engine.rebuild(&current, mode) {
+            if let Err(e) = engine.rebuild(&ds, &current, mode) {
+                let name = &current.spec.name;
                 eprintln!("molq-server: background reload of {name:?} failed: {e}");
             }
-            engine
-                .inner
-                .builds
-                .lock()
-                .expect("builds lock poisoned")
-                .remove(name);
+            ds.status().building = None;
         });
         Ok(ReloadTicket {
             target_generation,
@@ -808,6 +862,7 @@ impl Engine {
     /// race is not a build failure and leaves the breaker as it was.
     fn rebuild(
         &self,
+        ds: &Dataset,
         current: &Snapshot,
         mode: Option<BuildMode>,
     ) -> Result<Arc<Snapshot>, ReloadError> {
@@ -817,7 +872,8 @@ impl Engine {
                     "rebuild panicked (see the server log)".into(),
                 ))
             });
-        self.record_rebuild(&current.spec.name, &result);
+        let cfg = self.breaker_config();
+        ds.status().breaker.record(&result, cfg);
         result
     }
 
@@ -836,9 +892,11 @@ impl Engine {
         }
         let derived_from = Some(current.generation);
         if spec.paths.is_empty() {
-            self.maybe_delay_build();
+            self.maybe_hold("build.start");
             let snapshot = Snapshot::build(spec, current.query.sets.clone(), self.exec_config())?;
-            self.publish(snapshot, derived_from, Handover::Rehydrate)
+            self.replace(snapshot, derived_from, |writer, _| {
+                *writer = Writer::default()
+            })
         } else {
             self.load_derived(spec, derived_from).map(|(snap, _)| snap)
         }
@@ -862,71 +920,38 @@ impl Engine {
             .expect("breaker config lock poisoned") = Some(cfg);
     }
 
-    /// Admission check: the dataset's current snapshot, unless the breaker
-    /// is open; an expired backoff admits one half-open probe.
-    fn admit_rebuild(&self, name: &str) -> Result<Arc<Snapshot>, ReloadError> {
-        let current = self
-            .get(name)
+    /// Admission check: the dataset and its current snapshot, unless the
+    /// breaker is open; an expired backoff admits one half-open probe.
+    fn admit_rebuild(&self, name: &str) -> Result<(Dataset, Arc<Snapshot>), ReloadError> {
+        let ds = self
+            .dataset(name)
             .ok_or_else(|| ReloadError::Failed(format!("no dataset {name:?}")))?;
-        let mut breakers = self.inner.breakers.lock().expect("breaker lock poisoned");
-        let Some(state) = breakers.get_mut(name) else {
-            return Ok(current);
-        };
-        if let Some(open_until) = state.open_until {
-            let now = Instant::now();
-            if now < open_until {
-                return Err(ReloadError::BreakerOpen {
-                    retry_in: open_until - now,
-                    last_error: state.last_error.clone(),
-                });
-            }
-            // Half-open: admit this probe; its outcome decides what's next.
-            state.open_until = None;
-        }
-        Ok(current)
-    }
-
-    /// Feeds a rebuild outcome into the breaker: success closes it, failure
-    /// counts toward (or extends) the open state with exponential backoff. A
-    /// lost publish race says nothing about the build and changes nothing.
-    fn record_rebuild<T>(&self, name: &str, result: &Result<T, ReloadError>) {
-        let mut breakers = self.inner.breakers.lock().expect("breaker lock poisoned");
-        match result {
-            Ok(_) => {
-                breakers.remove(name);
-            }
-            Err(ReloadError::Conflict(_) | ReloadError::BreakerOpen { .. }) => {}
-            Err(ReloadError::Failed(msg)) => {
-                let cfg = self.breaker_config();
-                let state = breakers.entry(name.to_string()).or_default();
-                state.consecutive_failures += 1;
-                state.last_error = msg.clone();
-                if state.consecutive_failures >= cfg.threshold {
-                    let exponent = state.consecutive_failures - cfg.threshold;
-                    let backoff = cfg
-                        .base_backoff
-                        .saturating_mul(1u32 << exponent.min(16))
-                        .min(cfg.max_backoff);
-                    state.open_until = Some(Instant::now() + backoff);
-                }
-            }
-        }
+        ds.status().breaker.admit()?;
+        let current = Arc::clone(&ds.served);
+        Ok((ds, current))
     }
 
     /// Breaker state of every dataset with recorded failures, sorted by
     /// dataset name. Healthy datasets are omitted.
     pub fn breaker_reports(&self) -> Vec<BreakerReport> {
-        let breakers = self.inner.breakers.lock().expect("breaker lock poisoned");
         let now = Instant::now();
-        let mut out: Vec<BreakerReport> = breakers
+        let mut out: Vec<BreakerReport> = self
+            .inner
+            .datasets
+            .read()
+            .expect("engine lock poisoned")
             .iter()
-            .map(|(name, s)| BreakerReport {
-                dataset: name.clone(),
-                consecutive_failures: s.consecutive_failures,
-                retry_in: s
-                    .open_until
-                    .and_then(|until| until.checked_duration_since(now)),
-                last_error: s.last_error.clone(),
+            .filter_map(|(name, ds)| {
+                let status = ds.status();
+                let s = &status.breaker;
+                (s.consecutive_failures > 0).then(|| BreakerReport {
+                    dataset: name.clone(),
+                    consecutive_failures: s.consecutive_failures,
+                    retry_in: s
+                        .open_until
+                        .and_then(|until| until.checked_duration_since(now)),
+                    last_error: s.last_error.clone(),
+                })
             })
             .collect();
         out.sort_by(|a, b| a.dataset.cmp(&b.dataset));
@@ -936,35 +961,26 @@ impl Engine {
     /// `(dataset, target generation)` of every build currently in flight,
     /// sorted by dataset name.
     pub fn builds_in_flight(&self) -> Vec<(String, u64)> {
-        let builds = self.inner.builds.lock().expect("builds lock poisoned");
-        let mut out: Vec<(String, u64)> = builds.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        let mut out: Vec<(String, u64)> = self
+            .inner
+            .datasets
+            .read()
+            .expect("engine lock poisoned")
+            .iter()
+            .filter_map(|(name, ds)| ds.status().building.map(|target| (name.clone(), target)))
+            .collect();
         out.sort();
         out
     }
 
-    #[cfg(test)]
-    fn maybe_delay_build(&self) {
-        let delay = *self.inner.build_delay.lock().expect("delay lock poisoned");
-        if let Some(d) = delay {
-            std::thread::sleep(d);
-        }
-    }
-
-    #[cfg(not(test))]
-    fn maybe_delay_build(&self) {}
-
-    /// Test hook: make every subsequent build take at least `d`.
-    #[cfg(test)]
-    pub fn set_build_delay(&self, d: std::time::Duration) {
-        *self.inner.build_delay.lock().expect("delay lock poisoned") = Some(d);
-    }
-
     /// Test hook: the next time the engine reaches `point` it sends on
-    /// `reached`, then waits for `release`. Points: `update.publish` (a live
-    /// update's record is durable, its publication pending) and
-    /// `publish.persist` (a CSV build is served, its base not yet saved).
+    /// `reached`, then waits for `release`. Points: `build.start` (a load,
+    /// reload or rebuild is about to build; no lock held), `update.publish`
+    /// (a live update's record is durable, its publication pending, the
+    /// writer held) and `publish.persist` (a CSV build is served, its base
+    /// not yet saved, the writer held).
     #[cfg(test)]
-    fn hold_once(
+    pub(crate) fn hold_once(
         &self,
         point: &'static str,
         reached: std::sync::mpsc::Sender<()>,
@@ -994,56 +1010,100 @@ impl Engine {
     #[cfg(not(test))]
     fn maybe_hold(&self, _point: &str) {}
 
+    /// Test hook: blocks until some thread waits to take a dataset's
+    /// writer.
+    #[cfg(test)]
+    pub(crate) fn wait_for_writer_waiters(&self) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while self
+            .inner
+            .writers_waiting
+            .load(std::sync::atomic::Ordering::SeqCst)
+            == 0
+        {
+            assert!(Instant::now() < deadline, "nobody waits on a writer");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Takes a dataset's writer.
+    fn lock_writer<'a>(&self, ds: &'a Dataset) -> MutexGuard<'a, Writer> {
+        #[cfg(test)]
+        self.inner
+            .writers_waiting
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let writer = ds.writer.lock().expect("writer lock poisoned");
+        #[cfg(test)]
+        self.inner
+            .writers_waiting
+            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        writer
+    }
+
     /// Publishes a snapshot that replaces the dataset's inputs: a load, a
-    /// reload or a restore. Callers build it outside any lock (requests keep
+    /// rebuild or a restore. Callers build it outside any lock (requests keep
     /// being served from the old snapshot for the whole, potentially long,
-    /// preparation) from the inputs of generation `derived_from` (`None` for
-    /// a first load). The swap takes the dataset's live-update lock, so it
-    /// never lands inside a live update, then compare-and-swaps under the
-    /// registry write lock: it refuses with [`ReloadError::Conflict`] when
-    /// the served generation is no longer `derived_from`. On success it
-    /// hands the dataset's update state over as `handover` says, still under
-    /// the live-update lock, so no update can land between the swap and
-    /// the handover (and be journaled against the replaced base).
-    fn publish(
+    /// preparation) from the inputs of generation `derived_from` (`None`: the
+    /// dataset's first load). Under the dataset's writer it is a
+    /// compare-and-swap: it refuses with [`ReloadError::Conflict`] when the
+    /// served generation is no longer `derived_from`. On success `finish`
+    /// runs on the still-held writer, so no update can land between the
+    /// swap and what the publication does with the live state and the files
+    /// on disk.
+    fn replace(
         &self,
-        snapshot: Snapshot,
+        mut snapshot: Snapshot,
         derived_from: Option<u64>,
-        handover: Handover,
+        finish: impl FnOnce(&mut Writer, &Arc<Snapshot>),
     ) -> Result<Arc<Snapshot>, ReloadError> {
-        let entry = self.live_entry(&snapshot.spec.name);
-        let mut slot = entry.lock().expect("live state lock poisoned");
-        let snapshot = {
-            let mut map = self.inner.datasets.write().expect("engine lock poisoned");
-            if map.get(&snapshot.spec.name).map(|s| s.generation) != derived_from {
-                return Err(ReloadError::Conflict(format!(
-                    "dataset {:?} changed while this build was in flight; retry",
-                    snapshot.spec.name
-                )));
-            }
-            install(&mut map, snapshot)
+        let name = snapshot.spec.name.clone();
+        let conflict = || {
+            ReloadError::Conflict(format!(
+                "dataset {name:?} changed while this build was in flight; retry"
+            ))
         };
-        *slot = match handover {
-            Handover::Rehydrate => None,
-            Handover::Persist(fingerprint) => {
-                self.maybe_hold("publish.persist");
-                self.persist(&snapshot, fingerprint);
-                None
-            }
-            Handover::Resume(live) => Some(*live),
+        let Some(from) = derived_from else {
+            // A first load: the new record's writer is taken before the
+            // record becomes visible.
+            snapshot.generation = 1;
+            let snapshot = Arc::new(snapshot);
+            let ds = Dataset {
+                served: Arc::clone(&snapshot),
+                writer: Arc::default(),
+                status: Arc::default(),
+            };
+            let mut writer = self.lock_writer(&ds);
+            match self
+                .inner
+                .datasets
+                .write()
+                .expect("engine lock poisoned")
+                .entry(name.clone())
+            {
+                Entry::Occupied(_) => return Err(conflict()),
+                Entry::Vacant(slot) => slot.insert(ds.clone()),
+            };
+            finish(&mut writer, &snapshot);
+            return Ok(snapshot);
         };
+        let ds = self.dataset(&name).ok_or_else(conflict)?;
+        let mut writer = self.lock_writer(&ds);
+        if self.get(&name).map(|s| s.generation) != Some(from) {
+            return Err(conflict());
+        }
+        let snapshot = writer.swap(self, snapshot);
+        finish(&mut writer, &snapshot);
         Ok(snapshot)
     }
 
-    /// Publishes a live update's or compaction's snapshot. The caller has
-    /// held the dataset's live-update lock since it read the served
-    /// snapshot, and every publication takes that lock, so this cannot
-    /// lose.
-    fn publish_patched(&self, snapshot: Snapshot) -> Arc<Snapshot> {
-        install(
-            &mut self.inner.datasets.write().expect("engine lock poisoned"),
-            snapshot,
-        )
+    /// A handle on a dataset's record.
+    fn dataset(&self, name: &str) -> Option<Dataset> {
+        self.inner
+            .datasets
+            .read()
+            .expect("engine lock poisoned")
+            .get(name)
+            .cloned()
     }
 
     /// The current snapshot of a dataset.
@@ -1053,7 +1113,7 @@ impl Engine {
             .read()
             .expect("engine lock poisoned")
             .get(name)
-            .cloned()
+            .map(|ds| Arc::clone(&ds.served))
     }
 
     /// Sorted dataset names.
@@ -1082,159 +1142,17 @@ impl Engine {
     /// bounds instead of patched — replay takes the same deterministic
     /// path, so restart equivalence holds either way.
     pub fn apply_update(&self, name: &str, update: &Update) -> Result<UpdateOutcome, UpdateError> {
-        let metrics = &self.inner.metrics;
         if let Err(e) = crate::fault::fail_point("engine.apply_update") {
-            metrics.inc(Metric::UpdatesRejected);
+            self.inner.metrics.inc(Metric::UpdatesRejected);
             return Err(UpdateError::Rejected(format!(
                 "injected update failure: {e}"
             )));
         }
-        let entry = self.live_entry(name);
-        let mut slot = entry.lock().expect("live state lock poisoned");
-        let current = self
-            .get(name)
+        let ds = self
+            .dataset(name)
             .ok_or_else(|| UpdateError::NotFound(format!("no dataset {name:?}")))?;
-        // The patch layer is exact-only: a quadtree-approximate diagram has
-        // no basic diagrams to re-clip, and mixing approximate bases with an
-        // exact-replay journal would silently change what a restart serves.
-        if current.build_meta.mode.is_approx() {
-            metrics.inc(Metric::UpdatesRejected);
-            return Err(UpdateError::Rejected(format!(
-                "dataset {name:?} was built in approximate mode (ε = {}); live updates \
-                 require an exact build — reload without --epsilon first",
-                current.build_meta.mode.epsilon()
-            )));
-        }
-        if slot.is_none() {
-            *slot = Some(self.hydrate(&current).map_err(UpdateError::Durability)?);
-        }
-        let state = slot.as_mut().expect("hydrated above");
-
-        let inferred = current.spec.bounds.is_none();
-        let (stats, full_rebuild) = match apply_one(&mut state.live, inferred, update) {
-            Ok(done) => done,
-            Err(e) => {
-                metrics.inc(Metric::UpdatesRejected);
-                return Err(UpdateError::Rejected(e.to_string()));
-            }
-        };
-        // Built before the journal append, so nothing after the append can
-        // fail. The diagram has advanced: on failure, rehydrate next time.
-        let next = match live_snapshot(&current.spec, current.build_meta, &state.live, state.epoch)
-        {
-            Ok(next) => next,
-            Err(e) => {
-                *slot = None;
-                metrics.inc(Metric::UpdatesRejected);
-                return Err(UpdateError::Rejected(e));
-            }
-        };
-
-        // Write-ahead: the update must be durable before anyone can observe
-        // its effects. On append failure the in-memory state is dropped (it
-        // has already advanced) and rehydrated from the still-unchanged
-        // published snapshot on the next update; the caller gets a typed
-        // durability error (507) and the engine degrades until a durable
-        // write succeeds again.
-        if let Some(journal) = state.journal.as_mut() {
-            let appended = match crate::fault::fail_point("engine.journal_append") {
-                Err(msg) => Err(format!("injected append failure: {msg}")),
-                Ok(()) => journal
-                    .append(&record_of(update))
-                    .map_err(|e| e.to_string()),
-            };
-            if let Err(e) = appended {
-                let path = journal.path().display().to_string();
-                *slot = None;
-                let msg = format!("update not durable: journal append to {path} failed: {e}");
-                self.note_durable_failure(Metric::AppendFailures, &msg);
-                return Err(UpdateError::Durability(msg));
-            }
-            self.note_durable_ok();
-        }
-        self.maybe_hold("update.publish");
-        let snapshot = self.publish_patched(next);
-
-        metrics.inc(Metric::UpdatesApplied);
-        if full_rebuild {
-            metrics.inc(Metric::FullRebuilds);
-        }
-        metrics.add(Metric::PatchTimeUs, micros(stats.wall));
-        metrics.set(Metric::LastPatchUs, micros(stats.wall));
-        metrics.add(Metric::CellsReclipped, stats.cells_reclipped as u64);
-        metrics.add(Metric::SegmentsCopiedTotal, stats.segments_copied as u64);
-        metrics.set(Metric::LastSegmentsCopied, stats.segments_copied as u64);
-
-        Ok(UpdateOutcome {
-            snapshot,
-            stats,
-            full_rebuild,
-        })
-    }
-
-    /// Compacts a dataset's update history: persists the current (fully
-    /// updated) diagram as a new base snapshot at `epoch + 1` and resets the
-    /// journal to empty at that epoch. Restart cost returns to a single
-    /// snapshot load. Publishes a new generation carrying the new epoch.
-    pub fn compact(&self, name: &str) -> Result<u64, String> {
-        let entry = self.live_entry(name);
-        let mut slot = entry.lock().expect("live state lock poisoned");
-        let current = self
-            .get(name)
-            .ok_or_else(|| format!("no dataset {name:?}"))?;
-        let Some(dir) = current.spec.snapshot_dir.clone() else {
-            return Err(format!("dataset {name:?} has no snapshot directory"));
-        };
-        if current.build_meta.mode.is_approx() {
-            return Err(format!(
-                "dataset {name:?} was built in approximate mode; there is no update \
-                 history to compact"
-            ));
-        }
-        if slot.is_none() {
-            *slot = Some(self.hydrate(&current)?);
-        }
-        let state = slot.as_mut().expect("hydrated above");
-
-        let fingerprint = if current.spec.paths.is_empty() {
-            SourceFingerprint { entries: vec![] }
-        } else {
-            SourceFingerprint::of_paths(&current.spec.paths)
-                .map_err(|e| format!("fingerprinting sources of {name:?}: {e}"))?
-        };
-        let new_epoch = state.epoch + 1;
-        let next = live_snapshot(&current.spec, current.build_meta, &state.live, new_epoch)?;
-        let stored = StoredSnapshot {
-            name: current.spec.name.clone(),
-            boundary: current.spec.boundary,
-            eps: current.spec.eps,
-            explicit_bounds: current.spec.bounds,
-            fingerprint,
-            sets: state.live.sets().to_vec(),
-            movd: state.live.index().arena().clone(),
-            grid: state.live.index().grid().clone(),
-            update_epoch: new_epoch,
-            build: current.build_meta,
-        };
-        std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        self.sweep_snapshot_dir(&dir);
-        // Base first, then the journal reset: the save's directory fsync
-        // orders the new base before the emptied journal, so no crash point
-        // leaves an old base next to a new-epoch journal.
-        self.save_with_retry(&stored, &snapshot_path(&dir, name))?;
-        match state.journal.as_mut() {
-            Some(journal) => journal.reset(new_epoch).map_err(|e| e.to_string())?,
-            None => {
-                state.journal = Some(
-                    Journal::create(&journal_path(&dir, name), name, new_epoch)
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-        }
-        state.epoch = new_epoch;
-        self.publish_patched(next);
-        self.inner.metrics.inc(Metric::Compactions);
-        Ok(new_epoch)
+        let mut writer = self.lock_writer(&ds);
+        writer.update(self, name, update)
     }
 
     /// Every counter, gauge and latency histogram of the server.
@@ -1285,77 +1203,61 @@ impl Engine {
         }
     }
 
-    /// The per-dataset live-state cell (created on first use).
-    fn live_entry(&self, name: &str) -> Arc<Mutex<Option<LiveState>>> {
-        self.inner
-            .live
-            .lock()
-            .expect("live map lock poisoned")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Builds the live-update state mirroring a published snapshot: the
-    /// incremental diagram rehydrates from the served index (only per-set
-    /// basic diagrams are rebuilt), and the journal opens at the snapshot's
-    /// epoch. A journal that can't be opened (stale epoch after a crashed
-    /// compaction, corruption) is set aside and recreated empty — its
-    /// updates are already baked into the served snapshot.
-    fn hydrate(&self, snap: &Snapshot) -> Result<LiveState, String> {
-        let index = snap.index.clone();
-        let live = LiveMovd::from_index(
-            snap.query.sets.clone(),
-            index,
-            snap.spec.boundary,
-            self.exec_config(),
-        )
-        .map_err(|e| e.to_string())?;
-        let journal = match snap.spec.snapshot_dir.as_ref() {
+    /// A writer for the live diagram `live` at journal epoch `epoch`, with
+    /// the dataset's journal opened for appends (which truncates a torn or
+    /// salvaged tail). A live update's rehydration and a restore that
+    /// replayed its journal both open their writer here. A journal that
+    /// can't be opened (stale epoch, corruption) is set aside and recreated
+    /// empty.
+    fn open_writer(
+        &self,
+        spec: &DatasetSpec,
+        live: LiveMovd,
+        epoch: u64,
+    ) -> Result<Writer, String> {
+        let journal = match spec.snapshot_dir.as_ref() {
             None => None,
             Some(dir) => {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-                let path = journal_path(dir, &snap.spec.name);
-                let journal =
-                    match Journal::open_or_create(&path, &snap.spec.name, snap.update_epoch) {
-                        Ok(journal) => journal,
-                        Err(e) => {
-                            eprintln!(
-                                "molq-server: journal {} unusable ({e}); starting a fresh one",
-                                path.display()
-                            );
-                            self.inner.metrics.inc(Metric::JournalsSetAside);
-                            let _ = set_aside_journal(&RealVfs, &path, "stale");
-                            Journal::create(&path, &snap.spec.name, snap.update_epoch)
-                                .map_err(|e| e.to_string())?
-                        }
-                    };
+                let path = journal_path(dir, &spec.name);
+                let journal = match Journal::open_or_create(&path, &spec.name, epoch) {
+                    Ok(journal) => journal,
+                    Err(e) => {
+                        eprintln!(
+                            "molq-server: journal {} unusable ({e}); starting a fresh one",
+                            path.display()
+                        );
+                        self.inner.metrics.inc(Metric::JournalsSetAside);
+                        let _ = set_aside_journal(&RealVfs, &path, "stale");
+                        Journal::create(&path, &spec.name, epoch).map_err(|e| e.to_string())?
+                    }
+                };
                 Some(journal)
             }
         };
-        Ok(LiveState {
-            live,
+        Ok(Writer {
+            live: Some(live),
             journal,
-            epoch: snap.update_epoch,
         })
     }
 
     /// Brings a recovered base snapshot up to date with its journal records,
-    /// following the [`Recovery`]'s disposition:
+    /// following the [`Recovery`]'s disposition, and publishes it as the
+    /// replacement of generation `derived_from`:
     ///
-    /// * no journal / clean journal → replay everything (possibly nothing)
-    ///   and publish;
+    /// * no journal / clean journal → replay everything (possibly nothing);
     /// * torn tail or salvaged prefix → replay the valid record prefix;
     ///   reopening the journal truncates the dropped tail so appends
     ///   continue from the last durable record;
-    /// * set-aside (defective header, stale dataset/epoch) → move the file
-    ///   out of the way and publish the base alone;
-    /// * a checksum-valid record that no longer applies to this base → set
-    ///   the journal aside as `.corrupt` and publish the base alone. Every
-    ///   update the base itself captured still survives — a bad journal
-    ///   never costs the base, and never forces a CSV rebuild.
+    /// * set-aside (defective header, stale dataset/epoch), records next to
+    ///   an approximate base, or a checksum-valid record that no longer
+    ///   applies to this base → move the journal out of the way and serve
+    ///   the base alone. Every update the base itself captured still
+    ///   survives — a bad journal never costs the base, and never forces a
+    ///   CSV rebuild.
     ///
-    /// Publishes as the replacement of generation `derived_from`.
+    /// The replay runs outside any lock; the journal changes (reopen or set
+    /// aside) run under the writer, once the publication has won.
     fn restore_recovered(
         &self,
         spec: &DatasetSpec,
@@ -1365,7 +1267,7 @@ impl Engine {
         let dir = spec.snapshot_dir.as_ref().expect("restore implies dir");
         let path = journal_path(dir, &spec.name);
         let Recovery {
-            base: stored,
+            base,
             records,
             disposition,
             timings,
@@ -1373,7 +1275,9 @@ impl Engine {
         let m = &self.inner.metrics;
         m.set(Metric::LastRestoreCopyUs, micros(timings.copy));
         m.set(Metric::LastRestoreValidateUs, micros(timings.validate));
-        match &disposition {
+        // Why the journal is set aside, when it is.
+        let mut set_aside = None;
+        match disposition {
             JournalDisposition::TornTail { dropped_bytes } => {
                 m.inc(Metric::TornTails);
                 eprintln!(
@@ -1396,118 +1300,202 @@ impl Engine {
                 );
             }
             JournalDisposition::SetAside { reason } => {
-                m.inc(Metric::JournalsSetAside);
-                match set_aside_journal(&RealVfs, &path, "stale") {
-                    Ok(aside) => eprintln!(
-                        "molq-server: journal {} unusable ({reason}); set aside as {}",
-                        path.display(),
-                        aside.display()
-                    ),
-                    Err(e) => eprintln!(
-                        "molq-server: journal {} unusable ({reason}); setting it aside failed: {e}",
-                        path.display()
-                    ),
-                }
+                set_aside = Some(("stale", format!("unusable ({reason})")));
             }
             JournalDisposition::Missing | JournalDisposition::Clean => {}
         }
 
-        // An approximate base never replays a journal: the exact patch
-        // layer cannot apply to a quadtree diagram, and silently mixing the
-        // modes would change what a restart serves. Any records found are
-        // set aside and the base serves alone.
-        if stored.build.mode.is_approx() && !records.is_empty() {
-            m.inc(Metric::JournalsSetAside);
-            match set_aside_journal(&RealVfs, &path, "modemix") {
-                Ok(aside) => eprintln!(
-                    "molq-server: journal {} holds {} update(s) but the base snapshot was \
-                     built in approximate mode (ε = {}); set aside as {}; serving the base \
-                     alone",
-                    path.display(),
-                    records.len(),
-                    stored.build.mode.epsilon(),
-                    aside.display()
-                ),
-                Err(e) => eprintln!(
-                    "molq-server: journal {} holds update(s) for an approximate base; \
-                     setting it aside failed: {e}",
-                    path.display()
-                ),
-            }
-            return self.publish(
-                Snapshot::from_stored(spec.clone(), stored)?,
-                derived_from,
-                Handover::Rehydrate,
-            );
-        }
-
-        if records.is_empty() {
-            return self.publish(
-                Snapshot::from_stored(spec.clone(), stored)?,
-                derived_from,
-                Handover::Rehydrate,
-            );
-        }
-
         // Replay onto a copy of the base's parts, so a record that turns out
-        // not to apply can still fall back to serving the base alone.
-        let epoch = stored.update_epoch;
-        let base_build = stored.build;
-        let index = MovdIndex::from_arena(stored.movd.clone(), stored.grid.clone())?;
-        let mut live = LiveMovd::from_index(
-            stored.sets.clone(),
-            index,
-            spec.boundary,
-            self.exec_config(),
-        )
-        .map_err(|e| e.to_string())?;
-        let inferred = spec.bounds.is_none();
-        for (i, record) in records.iter().enumerate() {
-            if let Err(e) = apply_one(&mut live, inferred, &update_of(record)) {
+        // not to apply can still fall back to serving the base alone. An
+        // approximate base never replays: the exact patch layer cannot apply
+        // to a quadtree diagram, and silently mixing the modes would change
+        // what a restart serves.
+        let mut replayed = None;
+        if !records.is_empty() && base.build.mode.is_approx() {
+            set_aside = Some((
+                "modemix",
+                format!(
+                    "holds {} update(s) but the base snapshot was built in approximate \
+                     mode (ε = {})",
+                    records.len(),
+                    base.build.mode.epsilon()
+                ),
+            ));
+        } else if !records.is_empty() {
+            let index = MovdIndex::from_arena(base.movd.clone(), base.grid.clone())?;
+            let mut live =
+                LiveMovd::from_index(base.sets.clone(), index, spec.boundary, self.exec_config())
+                    .map_err(|e| e.to_string())?;
+            let inferred = spec.bounds.is_none();
+            let mut failed = None;
+            for (i, record) in records.iter().enumerate() {
+                if let Err(e) = apply_one(&mut live, inferred, &update_of(record)) {
+                    failed = Some(format!("record {i} no longer applies ({e})"));
+                    break;
+                }
+                m.inc(Metric::UpdatesReplayed);
+            }
+            match failed {
                 // Checksum-valid but inapplicable: the journal does not
-                // describe this base. Set it aside and serve the base alone.
+                // describe this base.
+                Some(why) => set_aside = Some(("corrupt", why)),
+                None => replayed = Some(live),
+            }
+        }
+
+        let epoch = base.update_epoch;
+        let snapshot = match &replayed {
+            Some(live) => live_snapshot(spec, base.build, live, epoch)?,
+            None => Snapshot::from_stored(spec.clone(), base)?,
+        };
+        self.replace(snapshot, derived_from, |writer, _| {
+            if let Some((suffix, why)) = set_aside {
                 m.inc(Metric::JournalsSetAside);
-                match set_aside_journal(&RealVfs, &path, "corrupt") {
+                match set_aside_journal(&RealVfs, &path, suffix) {
                     Ok(aside) => eprintln!(
-                        "molq-server: journal record {i} no longer applies ({e}); set aside \
-                         as {}; serving the base snapshot alone",
+                        "molq-server: journal {} {why}; set aside as {}; serving the base \
+                         snapshot alone",
+                        path.display(),
                         aside.display()
                     ),
-                    Err(rename_err) => eprintln!(
-                        "molq-server: journal record {i} no longer applies ({e}); setting \
-                         {} aside failed: {rename_err}",
+                    Err(e) => eprintln!(
+                        "molq-server: journal {} {why}; setting it aside failed: {e}",
                         path.display()
                     ),
                 }
-                return self.publish(
-                    Snapshot::from_stored(spec.clone(), stored)?,
-                    derived_from,
-                    Handover::Rehydrate,
-                );
             }
-            m.inc(Metric::UpdatesReplayed);
-        }
-
-        // Reopen for appends (truncates any torn/defective tail) and publish.
-        let journal =
-            Journal::open_or_create(&path, &spec.name, epoch).map_err(|e| e.to_string())?;
-        let snapshot = live_snapshot(spec, base_build, &live, epoch)?;
-        let live = LiveState {
-            live,
-            journal: Some(journal),
-            epoch,
-        };
-        self.publish(snapshot, derived_from, Handover::Resume(Box::new(live)))
+            *writer = match replayed.map(|live| self.open_writer(spec, live, epoch)) {
+                Some(Ok(resumed)) => resumed,
+                Some(Err(e)) => {
+                    // The next update rehydrates from what is served.
+                    eprintln!("molq-server: reopening journal {}: {e}", path.display());
+                    Writer::default()
+                }
+                None => Writer::default(),
+            };
+        })
     }
 }
 
-/// Stamps `snapshot` as its dataset's next generation and serves it. The
-/// caller holds the dataset's live-update lock and the registry write lock.
-fn install(map: &mut HashMap<String, Arc<Snapshot>>, mut snapshot: Snapshot) -> Arc<Snapshot> {
-    snapshot.generation = map.get(&snapshot.spec.name).map_or(1, |s| s.generation + 1);
-    let snapshot = Arc::new(snapshot);
-    map.insert(snapshot.spec.name.clone(), Arc::clone(&snapshot));
-    snapshot
+impl Writer {
+    /// Serves `snapshot` as the dataset's next generation. Only the
+    /// writer's holder can swap, so generations are unique and strictly
+    /// increasing.
+    fn swap(&mut self, engine: &Engine, mut snapshot: Snapshot) -> Arc<Snapshot> {
+        let mut map = engine.inner.datasets.write().expect("engine lock poisoned");
+        let ds = map
+            .get_mut(&snapshot.spec.name)
+            .expect("a dataset with a writer is registered");
+        snapshot.generation = ds.served.generation + 1;
+        ds.served = Arc::new(snapshot);
+        Arc::clone(&ds.served)
+    }
+
+    /// One live update (see [`Engine::apply_update`]): rehydrate on
+    /// demand, patch, journal, swap. The writer is held from reading the
+    /// served snapshot to the swap, so the update cannot lose a race.
+    fn update(
+        &mut self,
+        engine: &Engine,
+        name: &str,
+        update: &Update,
+    ) -> Result<UpdateOutcome, UpdateError> {
+        let metrics = &engine.inner.metrics;
+        let current = engine
+            .get(name)
+            .expect("a dataset with a writer is registered");
+        // The patch layer is exact-only: a quadtree-approximate diagram has
+        // no basic diagrams to re-clip, and mixing approximate bases with an
+        // exact-replay journal would silently change what a restart serves.
+        if current.build_meta.mode.is_approx() {
+            metrics.inc(Metric::UpdatesRejected);
+            return Err(UpdateError::Rejected(format!(
+                "dataset {name:?} was built in approximate mode (ε = {}); live updates \
+                 require an exact build — reload without --epsilon first",
+                current.build_meta.mode.epsilon()
+            )));
+        }
+        if self.live.is_none() {
+            // Rehydrate from the served index: only the per-set basic
+            // diagrams are rebuilt.
+            let live = LiveMovd::from_index(
+                current.query.sets.clone(),
+                current.index.clone(),
+                current.spec.boundary,
+                engine.exec_config(),
+            )
+            .map_err(|e| UpdateError::Durability(e.to_string()))?;
+            *self = engine
+                .open_writer(&current.spec, live, current.update_epoch)
+                .map_err(UpdateError::Durability)?;
+        }
+        let live = self.live.as_mut().expect("hydrated above");
+
+        let inferred = current.spec.bounds.is_none();
+        let (stats, full_rebuild) = match apply_one(live, inferred, update) {
+            Ok(done) => done,
+            Err(e) => {
+                metrics.inc(Metric::UpdatesRejected);
+                return Err(UpdateError::Rejected(e.to_string()));
+            }
+        };
+        // Built before the journal append, so nothing after the append can
+        // fail. The diagram has advanced: on failure, rehydrate next time.
+        let next = match live_snapshot(
+            &current.spec,
+            current.build_meta,
+            live,
+            current.update_epoch,
+        ) {
+            Ok(next) => next,
+            Err(e) => {
+                *self = Writer::default();
+                metrics.inc(Metric::UpdatesRejected);
+                return Err(UpdateError::Rejected(e));
+            }
+        };
+
+        // Write-ahead: the update must be durable before anyone can observe
+        // its effects. On append failure the in-memory state is dropped (it
+        // has already advanced) and rehydrated from the still-unchanged
+        // published snapshot on the next update; the caller gets a typed
+        // durability error (507) and the engine degrades until a durable
+        // write succeeds again.
+        if let Some(journal) = self.journal.as_mut() {
+            let appended = match crate::fault::fail_point("engine.journal_append") {
+                Err(msg) => Err(format!("injected append failure: {msg}")),
+                Ok(()) => journal
+                    .append(&record_of(update))
+                    .map_err(|e| e.to_string()),
+            };
+            if let Err(e) = appended {
+                let path = journal.path().display().to_string();
+                *self = Writer::default();
+                let msg = format!("update not durable: journal append to {path} failed: {e}");
+                engine.note_durable_failure(Metric::AppendFailures, &msg);
+                return Err(UpdateError::Durability(msg));
+            }
+            engine.note_durable_ok();
+        }
+        engine.maybe_hold("update.publish");
+        let snapshot = self.swap(engine, next);
+
+        metrics.inc(Metric::UpdatesApplied);
+        if full_rebuild {
+            metrics.inc(Metric::FullRebuilds);
+        }
+        metrics.add(Metric::PatchTimeUs, micros(stats.wall));
+        metrics.set(Metric::LastPatchUs, micros(stats.wall));
+        metrics.add(Metric::CellsReclipped, stats.cells_reclipped as u64);
+        metrics.add(Metric::SegmentsCopiedTotal, stats.segments_copied as u64);
+        metrics.set(Metric::LastSegmentsCopied, stats.segments_copied as u64);
+
+        Ok(UpdateOutcome {
+            snapshot,
+            stats,
+            full_rebuild,
+        })
+    }
 }
 
 /// An unpublished snapshot of a live diagram: the dataset's spec and build
@@ -1668,6 +1656,9 @@ fn snapshot_matches(
         && bounds_match
         && &stored.fingerprint == fingerprint
 }
+
+#[cfg(test)]
+mod explore;
 
 #[cfg(test)]
 mod tests {
@@ -2104,8 +2095,11 @@ mod tests {
         assert!(engine.apply_update("nope", &inside).is_err());
     }
 
+    /// A base compacted offline (`molq update compact`: the journal folded
+    /// into a new base at epoch + 1, the journal reset to that epoch)
+    /// restores without replay, and later updates journal at its epoch.
     #[test]
-    fn compaction_bumps_epoch_and_resets_journal() {
+    fn a_compacted_base_restores_and_journals_at_its_epoch() {
         let (dir, paths) = csv_fixture("compact", &[("a", 11, 51), ("b", 9, 52)]);
         let spec = DatasetSpec {
             bounds: Some(Mbr::new(0.0, 0.0, 100.0, 100.0)),
@@ -2132,15 +2126,25 @@ mod tests {
         let journal_file = journal_path(&dir, "d");
         assert_eq!(load_journal(&journal_file).unwrap().records.len(), 3);
 
-        let epoch = engine.compact("d").unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(engine.get("d").unwrap().update_epoch, 1);
-        assert_eq!(engine.metrics().get(Metric::Compactions), 1);
+        // Compact offline, as the CLI does: the base keeps its stored
+        // fingerprint and takes the served diagram at epoch 1.
+        let served = engine.get("d").unwrap();
+        let file = spec.snapshot_file().unwrap();
+        let base = StoredSnapshot::load_file(&file).unwrap();
+        StoredSnapshot {
+            update_epoch: 1,
+            ..served.to_stored(base.fingerprint)
+        }
+        .save_file(&file)
+        .unwrap();
+        Journal::open_or_create(&journal_file, "d", 0)
+            .unwrap()
+            .reset(1)
+            .unwrap();
         let load = load_journal(&journal_file).unwrap();
         assert_eq!((load.epoch, load.records.len()), (1, 0));
 
         // Restart: the compacted base restores directly, nothing to replay.
-        let served = engine.get("d").unwrap();
         let restarted = Engine::new();
         let (snap, outcome) = restarted.load_traced(spec.clone()).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
@@ -2149,26 +2153,46 @@ mod tests {
         assert_eq!(restarted.metrics().get(Metric::UpdatesReplayed), 0);
 
         // Post-compaction updates journal at the new epoch and replay again.
-        engine
+        restarted
             .apply_update("d", &Update::Remove { set: 1, index: 0 })
             .unwrap();
-        let served = engine.get("d").unwrap();
-        let restarted = Engine::new();
-        let (snap, outcome) = restarted.load_traced(spec).unwrap();
+        assert_eq!(load_journal(&journal_file).unwrap().epoch, 1);
+        let served = restarted.get("d").unwrap();
+        let again = Engine::new();
+        let (snap, outcome) = again.load_traced(spec).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
-        assert_eq!(restarted.metrics().get(Metric::UpdatesReplayed), 1);
+        assert_eq!(again.metrics().get(Metric::UpdatesReplayed), 1);
         assert_eq!(snap.index.arena(), served.index.arena());
+    }
 
-        // Compacting a dataset without persistence is refused.
-        let memory = Engine::new();
-        memory
-            .load_from_sets(
-                super::tests::spec("m"),
-                vec![pseudo_set("a", 8, 61), pseudo_set("b", 8, 62)],
-            )
-            .unwrap();
-        assert!(memory.compact("m").is_err());
-        assert!(memory.compact("nope").is_err());
+    #[test]
+    fn an_update_to_an_unknown_dataset_leaves_no_state_behind() {
+        let engine = Engine::new();
+        let insert = Update::Insert {
+            set: 0,
+            object: SpatialObject {
+                loc: Point::new(10.0, 20.0),
+                w_t: 1.0,
+                w_o: 1.0,
+            },
+        };
+        match engine.apply_update("ghost", &insert) {
+            Err(UpdateError::NotFound(msg)) => assert!(msg.contains("ghost"), "{msg}"),
+            other => panic!("expected NotFound, got {other:?}"),
+        }
+        assert!(engine.inner.datasets.read().unwrap().is_empty());
+        assert!(engine.names().is_empty());
+        assert!(engine.builds_in_flight().is_empty());
+        assert!(engine.breaker_reports().is_empty());
+        // A later first load of the name starts its history afresh.
+        let sets = vec![pseudo_set("a", 8, 91), pseudo_set("b", 8, 92)];
+        assert_eq!(
+            engine
+                .load_from_sets(spec("ghost"), sets)
+                .unwrap()
+                .generation,
+            1
+        );
     }
 
     #[test]
@@ -2180,7 +2204,9 @@ mod tests {
                 vec![pseudo_set("a", 10, 8), pseudo_set("b", 10, 9)],
             )
             .unwrap();
-        engine.set_build_delay(std::time::Duration::from_millis(150));
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        engine.hold_once("build.start", reached_tx, release_rx);
 
         let start = std::time::Instant::now();
         let ticket = engine.reload_background("bg", None).unwrap();
@@ -2192,6 +2218,7 @@ mod tests {
         assert_eq!(ticket.target_generation, 2);
         assert!(!ticket.already_building);
         // The serving snapshot is untouched while the build runs.
+        reached_rx.recv().unwrap();
         assert_eq!(engine.get("bg").unwrap().generation, 1);
         assert_eq!(engine.builds_in_flight(), vec![("bg".to_string(), 2)]);
 
@@ -2200,7 +2227,8 @@ mod tests {
         assert_eq!(again.target_generation, 2);
         assert!(again.already_building);
 
-        // The build completes and publishes its target generation.
+        // Released, the build completes and publishes its target generation.
+        release_tx.send(()).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while engine.get("bg").unwrap().generation != 2 {
             assert!(std::time::Instant::now() < deadline, "build never finished");
@@ -2239,17 +2267,24 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
         };
-        // Every rebuild takes long enough for the update below to land first.
-        engine.set_build_delay(std::time::Duration::from_millis(300));
+        // Holds a build at its start until released.
+        let hold_build = |engine: &Engine| {
+            let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+            let (release_tx, release_rx) = std::sync::mpsc::channel();
+            engine.hold_once("build.start", reached_tx, release_rx);
+            (reached_rx, release_tx)
+        };
 
         // 1. A reload starts from generation 1; an update publishes while
         //    it builds. The reload loses, typed, and is not a build failure.
+        let (reached, release) = hold_build(&engine);
         let racer = engine.clone();
         let reload = std::thread::spawn(move || racer.reload("race", None));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        reached.recv().unwrap();
         let update = engine.apply_update("race", &insert(50.25)).unwrap();
         objects += 1;
         generations.push(update.snapshot.generation);
+        release.send(()).unwrap();
         match reload.join().unwrap() {
             Err(ReloadError::Conflict(_)) => {}
             Ok(snap) => {
@@ -2264,9 +2299,12 @@ mod tests {
 
         // 2. A background reload and a blocking one start from the same
         //    generation: exactly one publishes, as the ticket's target.
+        let (reached, release) = hold_build(&engine);
         let ticket = engine.reload_background("race", None).unwrap();
         assert_eq!(ticket.target_generation, served.generation + 1);
+        reached.recv().unwrap();
         let blocking = engine.reload("race", None);
+        release.send(()).unwrap();
         wait_for_builds(&engine);
         let served = engine.get("race").unwrap();
         assert_eq!(served.generation, ticket.target_generation);
@@ -2322,12 +2360,12 @@ mod tests {
             updater.apply_update("d", &insert)
         });
         // The record is durable and the publication pending: race a reload
-        // (which restores base + journal) against it, and give the reload
-        // ample time to publish if nothing holds it back.
+        // (which restores base + journal) against it, up to the point where
+        // the reload would publish.
         reached_rx.recv().unwrap();
         let reloader = engine.clone();
         let reload = std::thread::spawn(move || reloader.reload("d", None));
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        engine.wait_for_writer_waiters();
         release_tx.send(()).unwrap();
         let acked = usize::from(update.join().unwrap().is_ok());
         match reload.join().unwrap() {
@@ -2383,12 +2421,11 @@ mod tests {
         let reloader = engine.clone();
         let reload = std::thread::spawn(move || reloader.reload("d", None));
         // The rebuild is served and its base not yet saved: race an update
-        // against the save, giving it ample time to land if nothing holds
-        // it back.
+        // against the save, up to the point where the update would start.
         reached_rx.recv().unwrap();
         let updater = engine.clone();
         let update = std::thread::spawn(move || updater.apply_update("d", &insert(50.25)));
-        std::thread::sleep(std::time::Duration::from_millis(300));
+        engine.wait_for_writer_waiters();
         release_tx.send(()).unwrap();
         reload.join().unwrap().unwrap();
         update.join().unwrap().unwrap();

@@ -11,9 +11,9 @@
 //! * **engine** ([`engine`]): loads CSV layers, runs the MOVD Overlapper
 //!   once, and publishes the result as an immutable [`engine::Snapshot`]
 //!   behind an `Arc` — named multi-dataset support with atomic snapshot
-//!   swaps. Loads, reloads, live updates and compactions all publish under
-//!   the dataset's live-update lock, which assigns its generations; a
-//!   reload whose source generation was replaced meanwhile fails instead of
+//!   swaps. Loads, reloads, restores and live updates all publish through
+//!   the dataset's one writer, which assigns its generations; a reload
+//!   whose source generation was replaced meanwhile fails instead of
 //!   overwriting it.
 //! * **service** ([`service`]): the API — `locate`, `solve`, `topk`, the
 //!   batched `solve_batch`/`topk_batch` (one snapshot pin + one sweep per
@@ -21,9 +21,9 @@
 //!   `health`, `stats`, `reload` — plus a sharded LRU cache ([`cache`]) for
 //!   `locate` keyed on quantized coordinates. One engine holds every named
 //!   dataset and the one lock-free metrics registry ([`metrics`]) that the
-//!   engine, the service and the event loops all record into. The
-//!   per-dataset state (snapshot, live-update lock, breaker, in-flight
-//!   build) keeps one dataset's rebuilds from touching another's.
+//!   engine, the service and the event loops all record into. Each
+//!   dataset's one record (snapshot, writer, breaker, in-flight build)
+//!   keeps one dataset's rebuilds from touching another's.
 //! * **transport** ([`http`]): a dependency-free HTTP/1.1 server on
 //!   `std::net` speaking the hand-rolled JSON of [`json`] — `workers`
 //!   readiness event loops ([`epoll`], Linux only) that each own their

@@ -95,8 +95,6 @@ declare_metrics! {
         UpdatesRejected = "rejected",
         /// Journal records replayed during snapshot restores.
         UpdatesReplayed = "replayed",
-        /// Journal compactions performed.
-        Compactions = "compactions",
         /// Updates that rebuilt the diagram because inferred bounds moved.
         FullRebuilds = "full_rebuilds",
         /// Basic-diagram cells re-clipped across all patches.

@@ -1264,7 +1264,11 @@ mod tests {
     fn reload_returns_202_without_blocking_on_the_build() {
         use std::time::{Duration, Instant};
         let svc = service(Boundary::Rrb);
-        svc.engine().set_build_delay(Duration::from_millis(150));
+        // The build waits at its start until the checks below are done.
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        svc.engine()
+            .hold_once("build.start", reached_tx, release_rx);
 
         let post = |params: &[(&str, &str)]| Request {
             method: "POST".into(),
@@ -1283,6 +1287,7 @@ mod tests {
         assert_eq!(resp.body.get("already_building"), Some(&Json::Bool(false)));
         // The old snapshot keeps serving while the build is in flight, and
         // /stats reports the build.
+        reached_rx.recv().unwrap();
         assert_eq!(svc.engine().get("default").unwrap().generation, 1);
         let stats = svc.handle(&Request::get("/stats", &[]));
         let builds = stats.body.get("builds").unwrap().as_arr().unwrap();
@@ -1296,7 +1301,8 @@ mod tests {
         let again = svc.handle(&post(&[]));
         assert_eq!(again.status, 202);
         assert_eq!(again.body.get("already_building"), Some(&Json::Bool(true)));
-        // Eventually the build publishes generation 2.
+        // Once released, the build publishes generation 2.
+        release_tx.send(()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while svc.engine().get("default").unwrap().generation != 2 {
             assert!(Instant::now() < deadline, "background build never landed");
@@ -1424,15 +1430,20 @@ mod tests {
             method: "POST".into(),
             ..Request::get(path, params)
         };
-        svc.engine().set_build_delay(Duration::from_millis(300));
+        // The reload waits at its build's start while the update lands.
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        svc.engine()
+            .hold_once("build.start", reached_tx, release_rx);
         std::thread::scope(|scope| {
             let reload = scope.spawn(|| svc.handle(&post("/reload", &[("wait", "1")])));
-            std::thread::sleep(Duration::from_millis(20));
+            reached_rx.recv().unwrap();
             let insert = svc.handle(&post(
                 "/datasets/default/objects",
                 &[("set", "a"), ("x", "33.25"), ("y", "44.5")],
             ));
             assert_eq!(insert.status, 200, "{:?}", insert.body);
+            release_tx.send(()).unwrap();
             let reload = reload.join().unwrap();
             assert_eq!(reload.status, 409, "{:?}", reload.body);
         });
@@ -1442,6 +1453,86 @@ mod tests {
         let health = svc.handle(&Request::get("/health", &[]));
         assert_eq!(health.body.get("status").unwrap().as_str(), Some("ok"));
         assert!(svc.engine().breaker_reports().is_empty());
+    }
+
+    /// A CSV rebuild held between its swap and its base save owns the
+    /// dataset's writer; nothing a reader or a reload request does waits
+    /// on it.
+    #[test]
+    fn readers_never_wait_on_the_writer() {
+        let dir = std::env::temp_dir().join("molq_server_service_held_writer");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let write_layers = |seed: u64| {
+            ["a", "b"]
+                .iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    let path = dir.join(format!("{name}.csv"));
+                    let set = pseudo_set(name, 1.0, 12, seed + i as u64);
+                    let mut f = std::fs::File::create(&path).unwrap();
+                    molq_datagen::csv::write_csv(&set, &mut f).unwrap();
+                    path
+                })
+                .collect::<Vec<_>>()
+        };
+        let engine = Engine::new();
+        engine
+            .load(DatasetSpec {
+                bounds: Some(Mbr::new(0.0, 0.0, 100.0, 100.0)),
+                snapshot_dir: Some(dir.join("snap")),
+                ..DatasetSpec::new("default", write_layers(61))
+            })
+            .unwrap();
+        // New CSV contents, so the reload rebuilds and saves a new base.
+        write_layers(71);
+        let svc = Service::new(engine.clone());
+
+        let (reached_tx, reached_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        engine.hold_once("publish.persist", reached_tx, release_rx);
+        let reloader = engine.clone();
+        let reload = std::thread::spawn(move || reloader.reload("default", None));
+        reached_rx.recv().unwrap();
+
+        let quick = |what: &str, start: Instant| {
+            assert!(
+                start.elapsed() < Duration::from_millis(100),
+                "{what} waited {:?} on the writer",
+                start.elapsed()
+            );
+        };
+        let start = Instant::now();
+        assert_eq!(engine.get("default").unwrap().generation, 2);
+        quick("get", start);
+        let start = Instant::now();
+        assert_eq!(svc.handle(&Request::get("/health", &[])).status, 200);
+        quick("/health", start);
+        let start = Instant::now();
+        assert_eq!(svc.handle(&Request::get("/stats", &[])).status, 200);
+        quick("/stats", start);
+        let start = Instant::now();
+        assert!(engine.builds_in_flight().is_empty());
+        quick("builds_in_flight", start);
+        let start = Instant::now();
+        assert!(engine.breaker_reports().is_empty());
+        quick("breaker_reports", start);
+        let start = Instant::now();
+        let ticket = engine.reload_background("default", None).unwrap();
+        quick("reload_background", start);
+        assert_eq!(ticket.target_generation, 3);
+        // The background build does wait, at the writer the rebuild holds.
+        engine.wait_for_writer_waiters();
+
+        release_tx.send(()).unwrap();
+        assert_eq!(reload.join().unwrap().unwrap().generation, 2);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !engine.builds_in_flight().is_empty() {
+            assert!(Instant::now() < deadline, "background build never cleared");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(engine.get("default").unwrap().generation, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn recover(vfs: &dyn Vfs, dir: &Path, name: &str) -> Result<Recovery, StoreE
         Ok(load) => {
             if load.name != base.name || load.epoch != base.update_epoch {
                 let reason = format!(
-                    "journal is for dataset {:?} epoch {}, base is {:?} epoch {}",
+                    "journal is stale (dataset {:?} epoch {}, base {:?} epoch {})",
                     load.name, load.epoch, base.name, base.update_epoch
                 );
                 (Vec::new(), JournalDisposition::SetAside { reason })
