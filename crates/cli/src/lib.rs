@@ -9,6 +9,7 @@ use molq_datagen::geonames::layer_object_set;
 use molq_datagen::GeoLayer;
 use molq_fw::StoppingRule;
 use molq_geom::Mbr;
+use molq_server::engine::{Engine, Opened, UpdateError};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
@@ -66,11 +67,14 @@ such a file ahead of time; `inspect` describes one (surviving damage);
 `verify` fully validates one and exits non-zero on any defect. Both also
 cover the <name>.journal sidecar when one sits next to the snapshot.
 
-`update` edits a snapshot offline through the same incremental patch layer
-the server uses: the change is appended to the write-ahead journal
-<dir>/<name>.journal and the patched dataset is byte-identical to a full
+`update` edits a snapshot dir through the engine a server runs: it
+restores the dataset as a restart would (setting aside a journal it cannot
+use, and saying so), appends the change to the write-ahead journal
+<dir>/<name>.journal, and the patched dataset is byte-identical to a full
 rebuild over the updated objects. `compact` folds the journal into a new
-base file (epoch + 1) and resets the journal.
+base file (epoch + 1) and resets the journal. One owner writes a dir at a
+time, holding <dir>/<name>.lock: `update` on a dir a server serves fails,
+naming the dir, and changes nothing.
 
 --threads runs the OVR scans (and the serve-time Overlapper) on a worker
 pool; answers are bit-identical at any thread count. Defaults to the
@@ -284,7 +288,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 }
 
 fn snapshot_build(flags: &Flags) -> Result<String, String> {
-    use molq_server::engine::{DatasetSpec, Engine, LoadOutcome};
+    use molq_server::engine::{DatasetSpec, LoadOutcome};
 
     let inputs = flags.get_all("input");
     if inputs.is_empty() {
@@ -303,11 +307,18 @@ fn snapshot_build(flags: &Flags) -> Result<String, String> {
         bounds: flags.get("bounds").map(parse_bounds).transpose()?,
         eps: flags.parse_f64("eps", 1e-3)?,
         build: build_mode_flag(flags)?,
-        snapshot_dir: Some(dir),
+        snapshot_dir: Some(dir.clone()),
     };
     let file = spec.snapshot_file().expect("snapshot_dir is set");
     let t = std::time::Instant::now();
-    let (snap, outcome) = Engine::new().load_traced(spec)?;
+    // Claimed up front, so a dir another process serves refuses instead of
+    // building a base that is never saved.
+    let engine = Engine::new();
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    engine
+        .claim_dir(&dir, &spec.name)
+        .map_err(|e| e.to_string())?;
+    let (snap, outcome) = engine.load_traced(spec)?;
     let dt = t.elapsed();
 
     let mut out = String::new();
@@ -499,87 +510,21 @@ fn snapshot_verify(flags: &Flags) -> Result<String, String> {
     Ok(out)
 }
 
-/// A snapshot opened for offline updates: the base file, its live
-/// (journal-replayed) diagram, and the journal opened for appending.
-/// `molq update <add|remove|compact>` edits a snapshot through the same
-/// incremental patch layer the server uses, journaling each change and
-/// rewriting nothing — the base file stays untouched until `compact` folds
-/// the journal in.
-struct OfflineLive {
-    path: std::path::PathBuf,
-    stored: molq_store::StoredSnapshot,
-    live: LiveMovd,
-    journal: molq_store::Journal,
-    replayed: usize,
-    /// A warning line when the journal's defective tail was salvaged away
-    /// (empty when the journal was clean).
-    salvage_note: String,
-}
-
-fn open_live(flags: &Flags) -> Result<OfflineLive, String> {
-    use molq_server::engine::{apply_one, update_of};
-    use molq_store::JournalDisposition;
-
+/// `molq update`'s dataset: the dataset in `--dir` opened on an in-process
+/// engine, which owns the dir for the whole run (a dir another process
+/// serves refuses, typed, and nothing changes) and recovers it exactly as
+/// a server restart does. A journal the restore set aside is reported.
+fn open_dataset(flags: &Flags) -> Result<(Engine, Opened, String), String> {
     let dir = std::path::PathBuf::from(flags.get("dir").ok_or("--dir is required")?);
     let name = flags.get("name").unwrap_or("default");
-    let path = molq_store::snapshot_path(&dir, name);
-    let jpath = molq_store::journal_path(&dir, name);
-    // The server's recovery ladder reads the base and the journal, and
-    // checks the journal's dataset and epoch against the base.
-    let recovery = molq_store::recover(&molq_store::RealVfs, &dir, name)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let stored = recovery.base;
-    if stored.build.mode.is_approx() {
-        return Err(format!(
-            "{}: snapshot was built in approximate mode (ε = {}); the incremental patch \
-             layer is exact-only — rebuild without --epsilon to edit it",
-            path.display(),
-            stored.build.mode.epsilon()
-        ));
-    }
-    let salvage_note = match recovery.disposition {
-        // Unlike the server, an offline edit refuses a journal it would
-        // have to set aside.
-        JournalDisposition::SetAside { reason } => {
-            return Err(format!("{}: {reason}", jpath.display()))
-        }
-        // Same recovery the server runs: replay the valid prefix; the
-        // reopen below truncates the defective tail.
-        JournalDisposition::Salvaged {
-            dropped_bytes,
-            defect,
-        } => format!(
-            "warning: {}: tail corrupt ({defect}); salvaged the {}-record prefix, \
-             dropping {dropped_bytes} byte(s)\n",
-            jpath.display(),
-            recovery.records.len(),
-        ),
-        JournalDisposition::Missing
-        | JournalDisposition::Clean
-        | JournalDisposition::TornTail { .. } => String::new(),
+    let engine = Engine::new();
+    engine.set_exec_config(exec_flag(flags, ExecConfig::default())?);
+    let opened = engine.open_dir(&dir, name).map_err(|e| e.to_string())?;
+    let note = match &opened.set_aside {
+        Some(what) => format!("warning: {what}\n"),
+        None => String::new(),
     };
-    let inferred = stored.explicit_bounds.is_none();
-    let exec = exec_flag(flags, ExecConfig::default())?;
-    let index = MovdIndex::from_arena(stored.movd.clone(), stored.grid.clone())?;
-    let mut live = LiveMovd::from_index(stored.sets.clone(), index, stored.boundary, exec)
-        .map_err(|e| e.to_string())?;
-
-    // Replay what the journal already holds so the new update lands on top
-    // of the full history (exactly what the server replays on restart).
-    for record in &recovery.records {
-        apply_one(&mut live, inferred, &update_of(record))
-            .map_err(|e| format!("{}: replay failed: {e}", jpath.display()))?;
-    }
-    let journal = molq_store::Journal::open_or_create(&jpath, &stored.name, stored.update_epoch)
-        .map_err(|e| format!("{}: {e}", jpath.display()))?;
-    Ok(OfflineLive {
-        path,
-        replayed: recovery.records.len(),
-        stored,
-        live,
-        journal,
-        salvage_note,
-    })
+    Ok((engine, opened, note))
 }
 
 /// `--set` resolved against the loaded sets: by name first, then as an
@@ -603,92 +548,66 @@ fn require_f64(flags: &Flags, key: &str) -> Result<f64, String> {
         .map_err(|e| format!("--{key}: {e}"))
 }
 
-/// Applies one update to an opened snapshot: journal append (durable) after
-/// the in-memory patch succeeds, then a one-line report.
-fn apply_offline(mut st: OfflineLive, upd: &Update) -> Result<String, String> {
-    use molq_server::engine::{apply_one, record_of};
-
-    let inferred = st.stored.explicit_bounds.is_none();
-    let (stats, full) =
-        apply_one(&mut st.live, inferred, upd).map_err(|e| format!("update rejected: {e}"))?;
-    st.journal
-        .append(&record_of(upd))
-        .map_err(|e| format!("{}: {e}", st.journal.path().display()))?;
-    let objects: usize = st.live.sets().iter().map(|s| s.objects.len()).sum();
+/// Applies one update (`set` resolved against the opened sets) through the
+/// engine, which journals it before it is applied, then a one-line report.
+fn apply_update(flags: &Flags, update: impl FnOnce(usize) -> Update) -> Result<String, String> {
+    let (engine, opened, note) = open_dataset(flags)?;
+    let spec = &opened.snapshot.spec;
+    let upd = update(set_flag(&opened.snapshot.query.sets, flags)?);
+    let done = engine.apply_update(&spec.name, &upd).map_err(|e| match e {
+        UpdateError::Rejected(msg) => format!("update rejected: {msg}"),
+        e => e.to_string(),
+    })?;
     Ok(format!(
-        "{}{} {} (journal {} + this; {} objects now, {}, {:?})\n",
-        st.salvage_note,
+        "{note}{} {} (journal {} + this; {} objects now, {}, {:?})\n",
         match upd {
             Update::Insert { .. } => "inserted into",
             Update::Remove { .. } => "removed from",
         },
-        st.path.display(),
-        st.replayed,
-        objects,
-        if full {
+        spec.snapshot_file().expect("opened from a dir").display(),
+        opened.replayed,
+        done.snapshot.object_count(),
+        if done.full_rebuild {
             "full rebuild (bounds moved)".to_string()
         } else {
             format!(
                 "{} cells re-clipped, {} OVRs re-derived",
-                stats.cells_reclipped, stats.ovrs_rederived
+                done.stats.cells_reclipped, done.stats.ovrs_rederived
             )
         },
-        stats.wall,
+        done.stats.wall,
     ))
 }
 
 fn update_add(flags: &Flags) -> Result<String, String> {
-    let st = open_live(flags)?;
-    let set = set_flag(st.live.sets(), flags)?;
     let object = SpatialObject {
         loc: molq_geom::Point::new(require_f64(flags, "x")?, require_f64(flags, "y")?),
         w_t: flags.parse_f64("wt", 1.0)?,
         w_o: flags.parse_f64("wo", 1.0)?,
     };
-    apply_offline(st, &Update::Insert { set, object })
+    apply_update(flags, |set| Update::Insert { set, object })
 }
 
 fn update_remove(flags: &Flags) -> Result<String, String> {
-    let st = open_live(flags)?;
-    let set = set_flag(st.live.sets(), flags)?;
     let index = flags
         .get("index")
         .ok_or("--index is required")?
         .parse::<usize>()
         .map_err(|e| format!("--index: {e}"))?;
-    apply_offline(st, &Update::Remove { set, index })
+    apply_update(flags, |set| Update::Remove { set, index })
 }
 
 /// Folds the journal into a new base file at epoch + 1 and resets the
-/// journal: the one compaction path. The new base keeps the old one's
-/// source fingerprint, so a server restarted on the same CSVs restores it
-/// without replay.
+/// journal, through the engine's one compaction routine.
 fn update_compact(flags: &Flags) -> Result<String, String> {
-    let mut st = open_live(flags)?;
-    let new_epoch = st.stored.update_epoch + 1;
-    let compacted = molq_store::StoredSnapshot {
-        name: st.stored.name.clone(),
-        boundary: st.stored.boundary,
-        eps: st.stored.eps,
-        explicit_bounds: st.stored.explicit_bounds,
-        fingerprint: st.stored.fingerprint.clone(),
-        sets: st.live.sets().to_vec(),
-        movd: st.live.index().arena().clone(),
-        grid: st.live.index().grid().clone(),
-        update_epoch: new_epoch,
-        build: st.stored.build,
-    };
-    compacted
-        .save_file(&st.path)
-        .map_err(|e| format!("{}: {e}", st.path.display()))?;
-    st.journal
-        .reset(new_epoch)
-        .map_err(|e| format!("{}: {e}", st.journal.path().display()))?;
+    let (engine, opened, note) = open_dataset(flags)?;
+    let spec = &opened.snapshot.spec;
+    let compacted = engine.compact(&spec.name).map_err(|e| e.to_string())?;
     Ok(format!(
-        "{}compacted {} journal updates into {} (epoch {new_epoch}); journal reset\n",
-        st.salvage_note,
-        st.replayed,
-        st.path.display(),
+        "{note}compacted {} journal updates into {} (epoch {}); journal reset\n",
+        opened.replayed,
+        spec.snapshot_file().expect("opened from a dir").display(),
+        compacted.update_epoch,
     ))
 }
 
@@ -829,7 +748,7 @@ fn install_sigint_handler() {
 fn install_sigint_handler() {}
 
 fn serve(flags: &Flags) -> Result<String, String> {
-    use molq_server::engine::{DatasetSpec, Engine};
+    use molq_server::engine::DatasetSpec;
     use molq_server::http::{start, ServerConfig};
     use molq_server::metrics::Route;
     use molq_server::service::{Service, ServiceConfig};
@@ -936,7 +855,7 @@ fn serve(flags: &Flags) -> Result<String, String> {
     SERVE_STOP.store(false, Ordering::SeqCst);
     install_sigint_handler();
     let deadline = shutdown_after.map(|secs| Instant::now() + Duration::from_secs_f64(secs));
-    while !SERVE_STOP.load(Ordering::SeqCst) && deadline.map_or(true, |d| Instant::now() < d) {
+    while !SERVE_STOP.load(Ordering::SeqCst) && deadline.is_none_or(|d| Instant::now() < d) {
         std::thread::sleep(Duration::from_millis(50));
     }
     handle.shutdown();
@@ -1192,32 +1111,42 @@ mod tests {
         .contains("rejected"));
 
         // The patched dataset is byte-identical to a from-scratch build over
-        // the updated objects: replay journal onto the base and compare with
-        // overlap_all over the same sets.
+        // the updated objects: replay the journal onto the base through the
+        // engine and compare with overlap_all over the same sets.
         {
-            use molq_server::engine::{apply_one, update_of};
-            let stored = molq_store::StoredSnapshot::load_file(&file).unwrap();
-            let index = MovdIndex::from_arena(stored.movd.clone(), stored.grid.clone()).unwrap();
-            let mut live = LiveMovd::from_index(
-                stored.sets.clone(),
-                index,
-                stored.boundary,
-                ExecConfig::serial(),
-            )
-            .unwrap();
             let j = molq_store::load_journal(&journal).unwrap();
             assert_eq!(j.records.len(), 3);
-            for r in &j.records {
-                apply_one(&mut live, false, &update_of(r)).unwrap();
-            }
+            let engine = Engine::new();
+            engine.set_exec_config(ExecConfig::serial());
+            let opened = engine.open_dir(&dir, "d").unwrap();
+            assert_eq!(opened.replayed, 3);
+            let snap = &opened.snapshot;
             let fresh = Movd::overlap_all_with(
-                live.sets(),
-                live.bounds(),
-                stored.boundary,
+                &snap.query.sets,
+                snap.query.bounds,
+                snap.spec.boundary,
                 ExecConfig::serial(),
             )
             .unwrap();
-            assert!(movd_bits_eq(&live.index().arena().to_movd(), &fresh));
+            assert!(movd_bits_eq(&snap.index.arena().to_movd(), &fresh));
+            // While this engine holds the dir, `molq update` is refused and
+            // changes nothing.
+            let before = (
+                std::fs::read(&file).unwrap(),
+                std::fs::read(&journal).unwrap(),
+            );
+            let err = run(&argv(&format!(
+                "update compact --dir {} --name d",
+                dir.display()
+            )))
+            .unwrap_err();
+            assert!(err.contains("another process or engine owns"), "{err}");
+            assert!(err.contains(&dir.display().to_string()), "{err}");
+            let after = (
+                std::fs::read(&file).unwrap(),
+                std::fs::read(&journal).unwrap(),
+            );
+            assert!(before == after, "a refused compaction changed the files");
         }
 
         // Compaction folds the journal into a new base at epoch 1 and

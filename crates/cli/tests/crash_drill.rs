@@ -71,13 +71,8 @@ fn insert(client: &mut Client, i: usize) -> usize {
         .expect("objects") as usize
 }
 
-#[test]
-fn kill_nine_preserves_every_acknowledged_update() {
-    let dir = std::env::temp_dir().join(format!("molq_crash_drill_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let csv = dir.join("stm.csv");
-    let snap = dir.join("snap");
+/// Writes a 20-object STM layer to `csv`.
+fn generate(csv: &std::path::Path) {
     let gen = Command::new(env!("CARGO_BIN_EXE_molq"))
         .args([
             "generate",
@@ -95,6 +90,22 @@ fn kill_nine_preserves_every_acknowledged_update() {
         .output()
         .expect("molq generate");
     assert!(gen.status.success(), "{gen:?}");
+}
+
+/// A fresh scratch dir for one drill.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("molq_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn kill_nine_preserves_every_acknowledged_update() {
+    let dir = scratch("crash_drill");
+    let csv = dir.join("stm.csv");
+    let snap = dir.join("snap");
+    generate(&csv);
 
     let (mut child, addr) = spawn_serve(&csv, &snap);
     let mut client = Client::connect(addr).expect("connect");
@@ -133,6 +144,67 @@ fn kill_nine_preserves_every_acknowledged_update() {
         "recovered {after} objects; expected {} acknowledged (+1 in-flight at most), base {base}",
         base + ACKED
     );
+    child2.kill().expect("stop restarted server");
+    child2.wait().expect("reap restarted server");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The compact probe: while `molq serve` owns a snapshot dir, `molq update
+/// compact` and `molq update add` on it exit non-zero and leave the base
+/// and journal byte-identical; the server keeps acknowledging inserts, and
+/// after kill + restart every acknowledged insert is served.
+#[test]
+fn a_served_dir_refuses_offline_updates_and_loses_nothing() {
+    let dir = scratch("compact_probe");
+    let csv = dir.join("stm.csv");
+    let snap = dir.join("snap");
+    generate(&csv);
+
+    let (mut child, addr) = spawn_serve(&csv, &snap);
+    let mut client = Client::connect(addr).expect("connect");
+    let first = insert(&mut client, 0);
+
+    let files = [snap.join("default.molq"), snap.join("default.journal")];
+    let read = || {
+        files
+            .iter()
+            .map(|f| std::fs::read(f).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let before = read();
+    let snap_dir = snap.to_str().unwrap();
+    for args in [
+        vec!["update", "compact", "--dir", snap_dir],
+        vec![
+            "update", "add", "--dir", snap_dir, "--set", "0", "--x", "50.5", "--y", "49.25",
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_molq"))
+            .args(&args)
+            .output()
+            .expect("molq update");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} ran on a served dir");
+        assert!(
+            stderr.contains("another process or engine owns") && stderr.contains(snap_dir),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(
+        read() == before,
+        "a refused update changed the dataset's files"
+    );
+
+    // The server still owns its journal: one more insert is acknowledged.
+    let second = insert(&mut client, 1);
+    assert_eq!(second, first + 1);
+    child.kill().expect("SIGKILL");
+    child.wait().expect("reap");
+
+    let (mut child2, addr2) = spawn_serve(&csv, &snap);
+    let mut client2 = Client::connect(addr2).expect("reconnect");
+    let after = insert(&mut client2, 2) - 1;
+    assert_eq!(after, second, "a restart lost acknowledged inserts");
     child2.kill().expect("stop restarted server");
     child2.wait().expect("reap restarted server");
     let _ = std::fs::remove_dir_all(&dir);

@@ -193,7 +193,7 @@ fn optimize_lanes(
 
     let mut best: Option<(f64, Point)> = None;
     for &(_, (cost, location)) in &out.items {
-        if best.map_or(true, |(c, _)| cost < c) {
+        if best.is_none_or(|(c, _)| cost < c) {
             best = Some((cost, location));
         }
     }

@@ -70,7 +70,7 @@ pub fn solve_ssc_with(query: &MolqQuery, exec: ExecConfig) -> Result<SscAnswer, 
     // the global minimum, as the sequential strict-< update would keep.
     let mut best: Option<(usize, f64, Point)> = None;
     for &(i, (cost, location)) in &out.items {
-        if best.map_or(true, |(_, c, _)| cost < c) {
+        if best.is_none_or(|(_, c, _)| cost < c) {
             best = Some((i, cost, location));
         }
     }

@@ -26,19 +26,32 @@
 //! incremental diagram and its journal), and a short-held status (build
 //! ticket and breaker) that `/health`, `/stats` and background reloads read
 //! without waiting on the writer. Every publication — load, reload,
-//! restore, live update — holds the dataset's writer while it swaps the
-//! served snapshot and assigns the next generation, so generations are
-//! unique and strictly increasing. A live update holds the writer from
-//! reading the served snapshot through its journal append to its swap, so
-//! it can never lose. A snapshot that replaces the dataset's inputs is
-//! built outside any lock and then compare-and-swapped under the writer: it
-//! refuses when the served generation is no longer the one it was derived
-//! from, so a reload that loses to a live update fails with
+//! restore, compaction, live update — holds the dataset's writer while it
+//! swaps the served snapshot and assigns the next generation, so
+//! generations are unique and strictly increasing. A live update holds the
+//! writer from reading the served snapshot through its journal append to
+//! its swap, so it can never lose. A snapshot that replaces the dataset's
+//! inputs is built outside any lock and then compare-and-swapped under the
+//! writer: it refuses when the served generation is no longer the one it
+//! was derived from, so a reload that loses to a live update fails with
 //! [`ReloadError::Conflict`] instead of silently dropping the update. What
-//! the replacement then does on disk — a CSV build saving its base and
-//! dropping the old journal, a restore reopening or setting aside its
-//! journal — runs under the same writer, so no update can be journaled
-//! against a base that is being replaced.
+//! the replacement does on disk — a CSV build saving its base and dropping
+//! the old journal, a restore reopening or setting aside its journal — runs
+//! under the same writer *before* the swap: a generation is durable before
+//! it is visible, so a reload derived from it reads its base, and one
+//! derived from the generation before it loses its compare-and-swap.
+//!
+//! The engine is the only code that writes a dataset's snapshot directory,
+//! and one engine at a time does: a load claims the dataset's files by
+//! taking an exclusive lock on `<dir>/<name>.lock` (see
+//! [`molq_store::lock`]) and holds it until the engine is dropped. Every
+//! write — tmp sweep, base save, journal append, truncate, reset or
+//! set-aside — happens only under it. A load whose lock is held by another
+//! owner (a process, or another engine in this one) still serves what it
+//! restored or built but writes nothing, and its live updates fail with
+//! [`UpdateError::Durability`]. [`Engine::open_dir`] is the strict form
+//! `molq update` uses: it refuses with [`DirError::Busy`] and touches
+//! nothing.
 //!
 //! Rebuilds are guarded by a per-dataset **circuit breaker**
 //! ([`BreakerConfig`]): after `threshold` consecutive build failures the
@@ -56,10 +69,9 @@ use molq_datagen::csv::read_csv;
 use molq_fw::StoppingRule;
 use molq_geom::{Mbr, Point};
 use molq_store::{
-    journal_path, recover, set_aside_journal, sweep_tmp, Journal, JournalDisposition,
-    JournalRecord, RealVfs, Recovery, SourceFingerprint, StoredSnapshot, Vfs,
+    journal_path, lock_path, recover, set_aside_journal, sweep_tmp, DatasetLock, Journal,
+    JournalDisposition, JournalRecord, RealVfs, Recovery, SourceFingerprint, StoredSnapshot, Vfs,
 };
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -147,12 +159,15 @@ pub struct Snapshot {
     /// Side length of one quantization cell (see [`Snapshot::quantize`]).
     pub quantum: f64,
     /// Live-update epoch: the journal generation this snapshot's persisted
-    /// base belongs to. Bumped by offline compaction (`molq update
-    /// compact`); 0 for a fresh CSV build.
+    /// base belongs to. Bumped by [`Engine::compact`]; 0 for a fresh CSV
+    /// build.
     pub update_epoch: u64,
     /// How the diagram was constructed: the mode, its (1+ε) certified
     /// factor, and the refinement counters for approximate builds.
     pub build_meta: BuildMeta,
+    /// The source CSVs the base was built from, saved with every base so a
+    /// restart on unchanged sources restores it (empty for in-memory sets).
+    fingerprint: SourceFingerprint,
 }
 
 impl Snapshot {
@@ -181,6 +196,7 @@ impl Snapshot {
             MovdIndex::build(movd),
             0,
             build_meta,
+            SourceFingerprint::default(),
         ))
     }
 
@@ -188,8 +204,6 @@ impl Snapshot {
     /// come straight off disk, so no Overlapper or index work runs.
     fn from_stored(spec: DatasetSpec, stored: StoredSnapshot) -> Result<Self, String> {
         let bounds = stored.movd.bounds();
-        let update_epoch = stored.update_epoch;
-        let build_meta = stored.build;
         let query =
             MolqQuery::new(stored.sets, bounds).with_rule(StoppingRule::Either(spec.eps, 100_000));
         query.validate().map_err(|e| e.to_string())?;
@@ -198,18 +212,21 @@ impl Snapshot {
             spec,
             query,
             index,
-            update_epoch,
-            build_meta,
+            stored.update_epoch,
+            stored.build,
+            stored.fingerprint,
         ))
     }
 
-    /// An unpublished snapshot: [`Engine::publish`] assigns its generation.
+    /// An unpublished snapshot at journal epoch `update_epoch`: the
+    /// dataset's writer assigns its generation when it swaps it in.
     fn assemble(
         spec: DatasetSpec,
         query: MolqQuery,
         index: MovdIndex,
         update_epoch: u64,
         build_meta: BuildMeta,
+        fingerprint: SourceFingerprint,
     ) -> Self {
         let bounds = query.bounds;
         let quantum = bounds.width().max(bounds.height()) / QUANT_STEPS;
@@ -222,6 +239,7 @@ impl Snapshot {
             quantum,
             update_epoch,
             build_meta,
+            fingerprint,
         }
     }
 
@@ -233,13 +251,13 @@ impl Snapshot {
     }
 
     /// The persistable form of this snapshot (everything a restart needs).
-    fn to_stored(&self, fingerprint: SourceFingerprint) -> StoredSnapshot {
+    fn to_stored(&self) -> StoredSnapshot {
         StoredSnapshot {
             name: self.spec.name.clone(),
             boundary: self.spec.boundary,
             eps: self.spec.eps,
             explicit_bounds: self.spec.bounds,
-            fingerprint,
+            fingerprint: self.fingerprint.clone(),
             sets: self.query.sets.clone(),
             movd: self.index.arena().clone(),
             grid: self.index.grid().clone(),
@@ -490,6 +508,38 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
+/// Why [`Engine::claim_dir`], [`Engine::open_dir`] or [`Engine::compact`]
+/// refused or failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DirError {
+    /// Another owner holds the dataset's files in the named dir. Nothing
+    /// was read or written.
+    Busy(String),
+    /// The dir holds no usable base, or the work itself failed.
+    Failed(String),
+}
+
+impl std::fmt::Display for DirError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DirError::Busy(m) | DirError::Failed(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for DirError {}
+
+/// A dataset restored from its snapshot dir (see [`Engine::open_dir`]).
+#[derive(Debug)]
+pub struct Opened {
+    /// The published snapshot: the base plus every replayed record.
+    pub snapshot: Arc<Snapshot>,
+    /// Journal records replayed onto the base.
+    pub replayed: usize,
+    /// What the restore set aside, and why, when the journal was unusable.
+    pub set_aside: Option<String>,
+}
+
 /// How the most recent snapshot restore's decode wall time split between
 /// bulk lane copies and structural validation: a view over the registry's
 /// `arena_stats` gauges.
@@ -538,6 +588,12 @@ struct EngineInner {
     durability: Mutex<DurabilityReport>,
     /// Breaker policy (settable once at wiring time; defaults apply).
     breaker_config: Mutex<Option<BreakerConfig>>,
+    /// The dataset files this engine owns, by lock path. A claim is held
+    /// until the engine is dropped.
+    locks: Mutex<HashMap<PathBuf, DatasetLock>>,
+    /// Held by a first load from its check that the name is free until
+    /// its record is visible, so first loads of a name take turns.
+    first_loads: Mutex<()>,
     /// Test hook: named points where the engine pauses once, signalling
     /// the first channel and then waiting on the second.
     #[cfg(test)]
@@ -620,12 +676,20 @@ impl Engine {
         let fingerprint = SourceFingerprint::of_paths(&spec.paths)
             .map_err(|e| format!("fingerprinting sources of {:?}: {e}", spec.name))?;
 
+        // A load claims its snapshot dir. Owning it, the load sweeps the dir
+        // and may write it; otherwise it reads the dir and writes nothing.
         if let Some(dir) = spec.snapshot_dir.as_deref() {
-            self.sweep_snapshot_dir(dir);
+            let claimed = std::fs::create_dir_all(dir)
+                .map_err(|e| DirError::Failed(format!("{}: {e}", dir.display())))
+                .and_then(|()| self.claim_dir(dir, &spec.name));
+            match claimed {
+                Ok(()) => self.sweep_snapshot_dir(dir),
+                Err(e) => eprintln!("molq-server: {e}; serving {:?} read-only", spec.name),
+            }
         }
         if let Some(recovery) = self.try_restore(&spec, &fingerprint) {
             match self.restore_recovered(&spec, recovery, derived_from) {
-                Ok(snap) => return Ok((snap, LoadOutcome::LoadedFromSnapshot)),
+                Ok(opened) => return Ok((opened.snapshot, LoadOutcome::LoadedFromSnapshot)),
                 // A lost publish race: rebuilding would lose it too.
                 Err(conflict @ ReloadError::Conflict(_)) => return Err(conflict),
                 Err(e) => {
@@ -652,15 +716,51 @@ impl Engine {
                 read_csv(&name, f).map_err(|e| format!("{}: {e}", path.display()))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let snapshot = Snapshot::build(spec, sets, self.exec_config())?;
+        let snapshot = Snapshot {
+            fingerprint,
+            ..Snapshot::build(spec, sets, self.exec_config())?
+        };
         // A fresh CSV build starts a clean update history: its base replaces
         // the old one on disk, and the old journal goes with it.
         let snap = self.replace(snapshot, derived_from, |writer, snap| {
             self.maybe_hold("publish.persist");
-            self.persist(snap, fingerprint);
+            self.persist(snap);
             *writer = Writer::default();
         })?;
         Ok((snap, LoadOutcome::BuiltFromCsv))
+    }
+
+    /// Claims dataset `name`'s files in `dir` for this engine, which then
+    /// holds them until it is dropped; claiming them again is a no-op.
+    /// Refuses with [`DirError::Busy`] while another owner — a process, or
+    /// another engine in this one — holds them. The dir must exist.
+    pub fn claim_dir(&self, dir: &Path, name: &str) -> Result<(), DirError> {
+        let path = lock_path(dir, name);
+        let mut locks = self.inner.locks.lock().expect("lock table poisoned");
+        if locks.contains_key(&path) {
+            return Ok(());
+        }
+        match DatasetLock::try_claim(dir, name) {
+            Ok(Some(lock)) => {
+                locks.insert(path, lock);
+                Ok(())
+            }
+            Ok(None) => Err(DirError::Busy(format!(
+                "{}: another process or engine owns dataset {name:?} there (it holds {})",
+                dir.display(),
+                path.display()
+            ))),
+            Err(e) => Err(DirError::Failed(format!("{}: {e}", path.display()))),
+        }
+    }
+
+    /// Whether this engine owns dataset `name`'s files in `dir`.
+    fn owns(&self, dir: &Path, name: &str) -> bool {
+        self.inner
+            .locks
+            .lock()
+            .expect("lock table poisoned")
+            .contains_key(&lock_path(dir, name))
     }
 
     /// Runs the crash-recovery ladder for a persisted snapshot matching the
@@ -691,24 +791,20 @@ impl Engine {
         None
     }
 
-    /// Saves a freshly-built snapshot when the spec asks for persistence.
-    /// Persistence failures are warnings, never load failures — a serving
-    /// snapshot in memory always beats a durable one on disk.
-    fn persist(&self, snap: &Snapshot, fingerprint: SourceFingerprint) {
-        let Some(path) = snap.spec.snapshot_file() else {
+    /// Saves a freshly-built snapshot when the spec asks for persistence
+    /// and this engine owns the dir. Persistence failures are warnings,
+    /// never load failures — a serving snapshot in memory always beats a
+    /// durable one on disk.
+    fn persist(&self, snap: &Snapshot) {
+        let (Some(dir), Some(path)) =
+            (snap.spec.snapshot_dir.as_deref(), snap.spec.snapshot_file())
+        else {
             return;
         };
-        if let Some(dir) = path.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!(
-                    "molq-server: cannot create snapshot dir {}: {e}",
-                    dir.display()
-                );
-                return;
-            }
-            self.sweep_snapshot_dir(dir);
+        if !self.owns(dir, &snap.spec.name) {
+            return;
         }
-        if let Err(e) = self.save_with_retry(&snap.to_stored(fingerprint), &path) {
+        if let Err(e) = self.save_with_retry(&snap.to_stored(), &path) {
             eprintln!(
                 "molq-server: failed to persist snapshot {}: {e}",
                 path.display()
@@ -716,11 +812,9 @@ impl Engine {
         }
         // A fresh CSV build starts a clean update history: any journal left
         // by a previous incarnation no longer applies to this base.
-        if let Some(dir) = path.parent() {
-            let jpath = journal_path(dir, &snap.spec.name);
-            if RealVfs.remove_file(&jpath).is_ok() {
-                let _ = molq_store::vfs::sync_parent_dir(&RealVfs, &jpath);
-            }
+        let jpath = journal_path(dir, &snap.spec.name);
+        if RealVfs.remove_file(&jpath).is_ok() {
+            let _ = molq_store::vfs::sync_parent_dir(&RealVfs, &jpath);
         }
     }
 
@@ -764,8 +858,9 @@ impl Engine {
     }
 
     /// Removes orphaned atomic-write temp files from a snapshot directory,
-    /// counting what it swept. Runs at load time and before every save, so
-    /// the droppings of a crash mid-save never accumulate.
+    /// counting what it swept. Runs when a load or [`Engine::open_dir`]
+    /// claims the dir, so the droppings of a crash mid-save never outlive
+    /// the restart.
     fn sweep_snapshot_dir(&self, dir: &Path) {
         match sweep_tmp(&RealVfs, dir) {
             Ok(swept) if !swept.is_empty() => {
@@ -782,7 +877,9 @@ impl Engine {
     }
 
     /// Loads (or replaces) a dataset from in-memory object sets; `spec.paths`
-    /// is ignored and cleared. Used by tests and the load generator.
+    /// is ignored and cleared. Used by tests and the load generator. It
+    /// neither reads nor claims `spec.snapshot_dir`: live updates journal
+    /// there only if an earlier load on this engine claimed it.
     pub fn load_from_sets(
         &self,
         mut spec: DatasetSpec,
@@ -977,8 +1074,9 @@ impl Engine {
     /// `reached`, then waits for `release`. Points: `build.start` (a load,
     /// reload or rebuild is about to build; no lock held), `update.publish`
     /// (a live update's record is durable, its publication pending, the
-    /// writer held) and `publish.persist` (a CSV build is served, its base
-    /// not yet saved, the writer held).
+    /// writer held) and `publish.persist` (a CSV build won its
+    /// compare-and-swap, its base neither saved nor served, the writer
+    /// held).
     #[cfg(test)]
     pub(crate) fn hold_once(
         &self,
@@ -1046,15 +1144,15 @@ impl Engine {
     /// preparation) from the inputs of generation `derived_from` (`None`: the
     /// dataset's first load). Under the dataset's writer it is a
     /// compare-and-swap: it refuses with [`ReloadError::Conflict`] when the
-    /// served generation is no longer `derived_from`. On success `finish`
-    /// runs on the still-held writer, so no update can land between the
-    /// swap and what the publication does with the live state and the files
-    /// on disk.
+    /// served generation is no longer `derived_from`. Having won, `finish`
+    /// sets up the writer and the files on disk, and only then is the
+    /// snapshot swapped in: what it wrote is durable before anyone can
+    /// derive from it, and no update lands in between.
     fn replace(
         &self,
         mut snapshot: Snapshot,
         derived_from: Option<u64>,
-        finish: impl FnOnce(&mut Writer, &Arc<Snapshot>),
+        finish: impl FnOnce(&mut Writer, &Snapshot),
     ) -> Result<Arc<Snapshot>, ReloadError> {
         let name = snapshot.spec.name.clone();
         let conflict = || {
@@ -1063,27 +1161,24 @@ impl Engine {
             ))
         };
         let Some(from) = derived_from else {
-            // A first load: the new record's writer is taken before the
-            // record becomes visible.
+            // A first load: the record becomes visible, writer and all, once
+            // `finish` is done. Only first loads insert records, and they
+            // take turns, so the name stays free until then.
+            let _turn = self.inner.first_loads.lock().expect("first loads poisoned");
+            if self.dataset(&name).is_some() {
+                return Err(conflict());
+            }
+            let mut writer = Writer::default();
+            finish(&mut writer, &snapshot);
             snapshot.generation = 1;
             let snapshot = Arc::new(snapshot);
             let ds = Dataset {
                 served: Arc::clone(&snapshot),
-                writer: Arc::default(),
+                writer: Arc::new(Mutex::new(writer)),
                 status: Arc::default(),
             };
-            let mut writer = self.lock_writer(&ds);
-            match self
-                .inner
-                .datasets
-                .write()
-                .expect("engine lock poisoned")
-                .entry(name.clone())
-            {
-                Entry::Occupied(_) => return Err(conflict()),
-                Entry::Vacant(slot) => slot.insert(ds.clone()),
-            };
-            finish(&mut writer, &snapshot);
+            let mut map = self.inner.datasets.write().expect("engine lock poisoned");
+            map.insert(name, ds);
             return Ok(snapshot);
         };
         let ds = self.dataset(&name).ok_or_else(conflict)?;
@@ -1091,9 +1186,8 @@ impl Engine {
         if self.get(&name).map(|s| s.generation) != Some(from) {
             return Err(conflict());
         }
-        let snapshot = writer.swap(self, snapshot);
         finish(&mut writer, &snapshot);
-        Ok(snapshot)
+        Ok(writer.swap(self, snapshot))
     }
 
     /// A handle on a dataset's record.
@@ -1203,42 +1297,39 @@ impl Engine {
         }
     }
 
-    /// A writer for the live diagram `live` at journal epoch `epoch`, with
-    /// the dataset's journal opened for appends (which truncates a torn or
-    /// salvaged tail). A live update's rehydration and a restore that
-    /// replayed its journal both open their writer here. A journal that
-    /// can't be opened (stale epoch, corruption) is set aside and recreated
-    /// empty.
-    fn open_writer(
-        &self,
-        spec: &DatasetSpec,
-        live: LiveMovd,
-        epoch: u64,
-    ) -> Result<Writer, String> {
-        let journal = match spec.snapshot_dir.as_ref() {
-            None => None,
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-                let path = journal_path(dir, &spec.name);
-                let journal = match Journal::open_or_create(&path, &spec.name, epoch) {
-                    Ok(journal) => journal,
-                    Err(e) => {
-                        eprintln!(
-                            "molq-server: journal {} unusable ({e}); starting a fresh one",
-                            path.display()
-                        );
-                        self.inner.metrics.inc(Metric::JournalsSetAside);
-                        let _ = set_aside_journal(&RealVfs, &path, "stale");
-                        Journal::create(&path, &spec.name, epoch).map_err(|e| e.to_string())?
-                    }
-                };
-                Some(journal)
+    /// The journal a writer at journal epoch `epoch` appends to, opened for
+    /// appends (which truncates a torn or salvaged tail); `None` without a
+    /// snapshot dir. A live update's rehydration and a restore that
+    /// replayed its journal both open it here. A journal that can't be
+    /// opened (stale epoch, corruption) is set aside and recreated empty.
+    /// Fails, naming the dir, when this engine does not own it.
+    fn open_journal(&self, spec: &DatasetSpec, epoch: u64) -> Result<Option<Journal>, String> {
+        let Some(dir) = spec.snapshot_dir.as_deref() else {
+            return Ok(None);
+        };
+        if !self.owns(dir, &spec.name) {
+            return Err(format!(
+                "update not applied: dataset {:?} is served read-only, because another \
+                 owner held {} when it was loaded (see {})",
+                spec.name,
+                dir.display(),
+                lock_path(dir, &spec.name).display()
+            ));
+        }
+        let path = journal_path(dir, &spec.name);
+        let journal = match Journal::open_or_create(&path, &spec.name, epoch) {
+            Ok(journal) => journal,
+            Err(e) => {
+                eprintln!(
+                    "molq-server: journal {} unusable ({e}); starting a fresh one",
+                    path.display()
+                );
+                self.inner.metrics.inc(Metric::JournalsSetAside);
+                let _ = set_aside_journal(&RealVfs, &path, "stale");
+                Journal::create(&path, &spec.name, epoch).map_err(|e| e.to_string())?
             }
         };
-        Ok(Writer {
-            live: Some(live),
-            journal,
-        })
+        Ok(Some(journal))
     }
 
     /// Brings a recovered base snapshot up to date with its journal records,
@@ -1257,13 +1348,14 @@ impl Engine {
     ///   CSV rebuild.
     ///
     /// The replay runs outside any lock; the journal changes (reopen or set
-    /// aside) run under the writer, once the publication has won.
+    /// aside) run under the writer, once the publication has won, and only
+    /// when this engine owns the dir.
     fn restore_recovered(
         &self,
         spec: &DatasetSpec,
         recovery: Recovery,
         derived_from: Option<u64>,
-    ) -> Result<Arc<Snapshot>, ReloadError> {
+    ) -> Result<Opened, ReloadError> {
         let dir = spec.snapshot_dir.as_ref().expect("restore implies dir");
         let path = journal_path(dir, &spec.name);
         let Recovery {
@@ -1344,36 +1436,129 @@ impl Engine {
         }
 
         let epoch = base.update_epoch;
+        let replayed_count = if replayed.is_some() { records.len() } else { 0 };
         let snapshot = match &replayed {
-            Some(live) => live_snapshot(spec, base.build, live, epoch)?,
+            Some(live) => live_snapshot(spec, base.build, live, epoch, base.fingerprint)?,
             None => Snapshot::from_stored(spec.clone(), base)?,
         };
-        self.replace(snapshot, derived_from, |writer, _| {
+        let mut note = None;
+        let snapshot = self.replace(snapshot, derived_from, |writer, _| {
+            *writer = Writer::default();
+            if !self.owns(dir, &spec.name) {
+                return;
+            }
             if let Some((suffix, why)) = set_aside {
                 m.inc(Metric::JournalsSetAside);
-                match set_aside_journal(&RealVfs, &path, suffix) {
-                    Ok(aside) => eprintln!(
-                        "molq-server: journal {} {why}; set aside as {}; serving the base \
-                         snapshot alone",
-                        path.display(),
-                        aside.display()
-                    ),
-                    Err(e) => eprintln!(
-                        "molq-server: journal {} {why}; setting it aside failed: {e}",
-                        path.display()
-                    ),
+                let done = match set_aside_journal(&RealVfs, &path, suffix) {
+                    Ok(aside) => format!("set aside as {}", aside.display()),
+                    Err(e) => format!("setting it aside failed: {e}"),
+                };
+                let line = format!("journal {} {why}; {done}", path.display());
+                eprintln!("molq-server: {line}; serving the base snapshot alone");
+                note = Some(line);
+            }
+            if let Some(live) = replayed {
+                match self.open_journal(spec, epoch) {
+                    Ok(journal) => {
+                        writer.live = Some(live);
+                        writer.journal = journal;
+                    }
+                    // The next update rehydrates from what is served.
+                    Err(e) => eprintln!("molq-server: reopening journal {}: {e}", path.display()),
                 }
             }
-            *writer = match replayed.map(|live| self.open_writer(spec, live, epoch)) {
-                Some(Ok(resumed)) => resumed,
-                Some(Err(e)) => {
-                    // The next update rehydrates from what is served.
-                    eprintln!("molq-server: reopening journal {}: {e}", path.display());
-                    Writer::default()
-                }
-                None => Writer::default(),
-            };
+        })?;
+        Ok(Opened {
+            snapshot,
+            replayed: replayed_count,
+            set_aside: note,
         })
+    }
+
+    /// Opens dataset `name` from its snapshot dir alone, the way `molq
+    /// update` edits a dataset. The engine claims the dir first (refusing
+    /// with [`DirError::Busy`] while another owner holds it, before reading
+    /// anything), then restores the base and its journal exactly as a
+    /// server restart does, setting aside a journal it cannot use. The spec
+    /// comes from the stored base: its boundary, ε, explicit bounds and
+    /// build mode. An approximate base is refused before anything is
+    /// written, since the patch layer that edits a dataset is exact-only.
+    pub fn open_dir(&self, dir: &Path, name: &str) -> Result<Opened, DirError> {
+        self.claim_dir(dir, name)?;
+        let file = snapshot_path(dir, name);
+        let recovery = recover(&RealVfs, dir, name)
+            .map_err(|e| DirError::Failed(format!("{}: {e}", file.display())))?;
+        let base = &recovery.base;
+        if base.build.mode.is_approx() {
+            return Err(DirError::Failed(format!(
+                "{}: snapshot was built in approximate mode (ε = {}); the incremental patch \
+                 layer is exact-only — rebuild without --epsilon to edit it",
+                file.display(),
+                base.build.mode.epsilon()
+            )));
+        }
+        let spec = DatasetSpec {
+            boundary: base.boundary,
+            bounds: base.explicit_bounds,
+            eps: base.eps,
+            build: base.build.mode,
+            snapshot_dir: Some(dir.to_path_buf()),
+            ..DatasetSpec::new(name, Vec::new())
+        };
+        self.sweep_snapshot_dir(dir);
+        let derived_from = self.get(name).map(|s| s.generation);
+        self.restore_recovered(&spec, recovery, derived_from)
+            .map_err(|e| DirError::Failed(e.to_string()))
+    }
+
+    /// Compacts dataset `name`: under its writer, saves the served diagram
+    /// as the new base at journal epoch + 1, resets the journal to that
+    /// epoch, and then serves the same diagram at the new epoch as the next
+    /// generation. The new base keeps the old one's source fingerprint, so
+    /// a restart on the same CSVs restores it without replay. Only the
+    /// owner of the dataset's dir compacts; a failed save changes nothing.
+    pub fn compact(&self, name: &str) -> Result<Arc<Snapshot>, DirError> {
+        let ds = self
+            .dataset(name)
+            .ok_or_else(|| DirError::Failed(format!("no dataset {name:?}")))?;
+        let mut writer = self.lock_writer(&ds);
+        let current = self
+            .get(name)
+            .expect("a dataset with a writer is registered");
+        let Some(dir) = current.spec.snapshot_dir.as_deref() else {
+            return Err(DirError::Failed(format!(
+                "dataset {name:?} has no snapshot dir to compact"
+            )));
+        };
+        if !self.owns(dir, name) {
+            let msg = format!("{}: this engine serves {name:?} read-only", dir.display());
+            return Err(DirError::Busy(msg));
+        }
+        let epoch = current.update_epoch + 1;
+        let next = Snapshot::assemble(
+            current.spec.clone(),
+            current.query.clone(),
+            current.index.clone(),
+            epoch,
+            current.build_meta,
+            current.fingerprint.clone(),
+        );
+        self.save_with_retry(&next.to_stored(), &snapshot_path(dir, name))
+            .map_err(DirError::Failed)?;
+        // The base now holds every journaled update (the order `molq-store`'s
+        // crash matrix enumerates), so a crash before the reset is durable
+        // costs nothing: a journal left at the old epoch is stale against
+        // the base and is set aside, never replayed.
+        let jpath = journal_path(dir, name);
+        let reset = match writer.journal.as_mut() {
+            Some(journal) => journal.reset(epoch),
+            None => Journal::create(&jpath, name, epoch).map(drop),
+        };
+        if let Err(e) = reset {
+            eprintln!("molq-server: resetting journal {}: {e}", jpath.display());
+            *writer = Writer::default();
+        }
+        Ok(writer.swap(self, next))
     }
 }
 
@@ -1418,6 +1603,9 @@ impl Writer {
         if self.live.is_none() {
             // Rehydrate from the served index: only the per-set basic
             // diagrams are rebuilt.
+            let journal = engine
+                .open_journal(&current.spec, current.update_epoch)
+                .map_err(UpdateError::Durability)?;
             let live = LiveMovd::from_index(
                 current.query.sets.clone(),
                 current.index.clone(),
@@ -1425,9 +1613,10 @@ impl Writer {
                 engine.exec_config(),
             )
             .map_err(|e| UpdateError::Durability(e.to_string()))?;
-            *self = engine
-                .open_writer(&current.spec, live, current.update_epoch)
-                .map_err(UpdateError::Durability)?;
+            *self = Writer {
+                live: Some(live),
+                journal,
+            };
         }
         let live = self.live.as_mut().expect("hydrated above");
 
@@ -1446,6 +1635,7 @@ impl Writer {
             current.build_meta,
             live,
             current.update_epoch,
+            current.fingerprint.clone(),
         ) {
             Ok(next) => next,
             Err(e) => {
@@ -1499,12 +1689,14 @@ impl Writer {
 }
 
 /// An unpublished snapshot of a live diagram: the dataset's spec and build
-/// metadata over the diagram's current sets, at journal epoch `epoch`.
+/// metadata over the diagram's current sets, at journal epoch `epoch` of
+/// the base built from `fingerprint`.
 fn live_snapshot(
     spec: &DatasetSpec,
     build: BuildMeta,
     live: &LiveMovd,
     epoch: u64,
+    fingerprint: SourceFingerprint,
 ) -> Result<Snapshot, String> {
     let query = MolqQuery::new(live.sets().to_vec(), live.bounds())
         .with_rule(StoppingRule::Either(spec.eps, 100_000));
@@ -1515,6 +1707,7 @@ fn live_snapshot(
         live.index().clone(),
         epoch,
         build,
+        fingerprint,
     ))
 }
 
@@ -1523,8 +1716,8 @@ fn micros(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// The journal form of an update (shared with the offline `molq update` CLI).
-pub fn record_of(update: &Update) -> JournalRecord {
+/// The journal form of an update.
+fn record_of(update: &Update) -> JournalRecord {
     match *update {
         Update::Insert { set, ref object } => JournalRecord::Insert {
             set: set as u32,
@@ -1540,8 +1733,8 @@ pub fn record_of(update: &Update) -> JournalRecord {
     }
 }
 
-/// The update a journal record describes (shared with the offline CLI).
-pub fn update_of(record: &JournalRecord) -> Update {
+/// The update a journal record describes.
+fn update_of(record: &JournalRecord) -> Update {
     match *record {
         JournalRecord::Insert {
             set,
@@ -1587,10 +1780,10 @@ fn sets_after(sets: &[ObjectSet], update: &Update) -> Option<Vec<ObjectSet>> {
 /// the update moves the dataset's inferred search space (the exact
 /// inference a snapshot build runs), the diagram is rebuilt from scratch
 /// over the new bounds — patching can't change the space itself. Returns
-/// the patch stats and whether the full-rebuild path ran. The live
-/// path, journal replay, and the offline `molq update` CLI call this, so
-/// every consumer patches bit-for-bit identically.
-pub fn apply_one(
+/// the patch stats and whether the full-rebuild path ran. The live path
+/// and journal replay both call this, so they patch bit-for-bit
+/// identically.
+fn apply_one(
     live: &mut LiveMovd,
     inferred_bounds: bool,
     update: &Update,
@@ -1976,10 +2169,12 @@ mod tests {
             .unwrap();
         assert_eq!(served.index.arena(), fresh.index.arena());
 
-        // Restart: base + journal replay reproduces the served diagram.
+        // Restart: base + journal replay reproduces the served diagram. Each
+        // restart below drops the engine before it, which owns the dir.
         let journal_file = journal_path(&dir, "d");
         assert!(journal_file.exists());
         assert_eq!(load_journal(&journal_file).unwrap().records.len(), 2);
+        drop(engine);
         let restarted = Engine::new();
         let (replayed, outcome) = restarted.load_traced(spec.clone()).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
@@ -1999,6 +2194,7 @@ mod tests {
         let off = bytes.len() - 30; // inside the 3rd (last) record
         bytes[off] ^= 0x08;
         std::fs::write(&journal_file, &bytes).unwrap();
+        drop(restarted);
         let salvaging = Engine::new();
         let (snap, outcome) = salvaging.load_traced(spec.clone()).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
@@ -2020,6 +2216,7 @@ mod tests {
         let mut bytes = std::fs::read(&journal_file).unwrap();
         bytes[2] ^= 0xff; // inside the magic
         std::fs::write(&journal_file, &bytes).unwrap();
+        drop(salvaging);
         let aside_engine = Engine::new();
         let (snap, outcome) = aside_engine.load_traced(spec.clone()).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
@@ -2095,9 +2292,10 @@ mod tests {
         assert!(engine.apply_update("nope", &inside).is_err());
     }
 
-    /// A base compacted offline (`molq update compact`: the journal folded
-    /// into a new base at epoch + 1, the journal reset to that epoch)
-    /// restores without replay, and later updates journal at its epoch.
+    /// A base compacted by a second engine that opens the dir alone (what
+    /// `molq update compact` does: the journal folded into a new base at
+    /// epoch + 1, the journal reset to that epoch) restores without replay,
+    /// and later updates journal at its epoch.
     #[test]
     fn a_compacted_base_restores_and_journals_at_its_epoch() {
         let (dir, paths) = csv_fixture("compact", &[("a", 11, 51), ("b", 9, 52)]);
@@ -2126,23 +2324,20 @@ mod tests {
         let journal_file = journal_path(&dir, "d");
         assert_eq!(load_journal(&journal_file).unwrap().records.len(), 3);
 
-        // Compact offline, as the CLI does: the base keeps its stored
-        // fingerprint and takes the served diagram at epoch 1.
+        // Compact as the CLI does, once the serving engine has let go of
+        // the dir: the base keeps its stored fingerprint and takes the
+        // served diagram at epoch 1.
         let served = engine.get("d").unwrap();
-        let file = spec.snapshot_file().unwrap();
-        let base = StoredSnapshot::load_file(&file).unwrap();
-        StoredSnapshot {
-            update_epoch: 1,
-            ..served.to_stored(base.fingerprint)
-        }
-        .save_file(&file)
-        .unwrap();
-        Journal::open_or_create(&journal_file, "d", 0)
-            .unwrap()
-            .reset(1)
-            .unwrap();
+        drop(engine);
+        let owner = Engine::new();
+        let opened = owner.open_dir(&dir, "d").unwrap();
+        assert_eq!(opened.replayed, 3);
+        let compacted = owner.compact("d").unwrap();
+        assert_eq!(compacted.update_epoch, 1);
+        assert_eq!(compacted.generation, opened.snapshot.generation + 1);
         let load = load_journal(&journal_file).unwrap();
         assert_eq!((load.epoch, load.records.len()), (1, 0));
+        drop(owner);
 
         // Restart: the compacted base restores directly, nothing to replay.
         let restarted = Engine::new();
@@ -2158,11 +2353,79 @@ mod tests {
             .unwrap();
         assert_eq!(load_journal(&journal_file).unwrap().epoch, 1);
         let served = restarted.get("d").unwrap();
+        drop(restarted);
         let again = Engine::new();
         let (snap, outcome) = again.load_traced(spec).unwrap();
         assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
         assert_eq!(again.metrics().get(Metric::UpdatesReplayed), 1);
         assert_eq!(snap.index.arena(), served.index.arena());
+    }
+
+    /// While one engine owns a dataset's dir, a second one serves what it
+    /// restores or builds but writes nothing: its updates fail typed and
+    /// name the dir, `open_dir` and `compact` refuse, and the base and
+    /// journal stay byte-identical. Once the owner is dropped, the dir is
+    /// free again.
+    #[test]
+    fn a_second_owner_serves_but_never_writes() {
+        let (dir, paths) = csv_fixture("second_owner", &[("a", 12, 101), ("b", 10, 102)]);
+        let spec = DatasetSpec {
+            bounds: Some(Mbr::new(0.0, 0.0, 100.0, 100.0)),
+            snapshot_dir: Some(dir.clone()),
+            ..DatasetSpec::new("d", paths.clone())
+        };
+        let insert = |x: f64| Update::Insert {
+            set: 0,
+            object: SpatialObject {
+                loc: Point::new(x, 47.5),
+                w_t: 1.0,
+                w_o: 1.0,
+            },
+        };
+        let owner = Engine::new();
+        owner.load(spec.clone()).unwrap();
+        owner.apply_update("d", &insert(31.25)).unwrap();
+        let files = [spec.snapshot_file().unwrap(), journal_path(&dir, "d")];
+        let read = || {
+            files
+                .iter()
+                .map(|f| std::fs::read(f).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let before = read();
+        let names_dir = |msg: &str| msg.contains(&dir.display().to_string());
+
+        let second = Engine::new();
+        let (snap, outcome) = second.load_traced(spec.clone()).unwrap();
+        assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot);
+        assert_eq!(snap.object_count(), owner.get("d").unwrap().object_count());
+        match second.apply_update("d", &insert(62.75)) {
+            Err(UpdateError::Durability(msg)) => assert!(names_dir(&msg), "{msg}"),
+            other => panic!("expected a durability refusal, got {other:?}"),
+        }
+        match second.compact("d") {
+            Err(DirError::Busy(msg)) => assert!(names_dir(&msg), "{msg}"),
+            other => panic!("expected Busy, got {other:?}"),
+        }
+        match Engine::new().open_dir(&dir, "d") {
+            Err(DirError::Busy(msg)) => assert!(names_dir(&msg), "{msg}"),
+            other => panic!("expected Busy, got {other:?}"),
+        }
+        // Edited CSVs: the second engine rebuilds and serves them, but
+        // persists nothing.
+        let mut f = File::create(&paths[0]).unwrap();
+        molq_datagen::csv::write_csv(&pseudo_set("a", 13, 103), &mut f).unwrap();
+        drop(f);
+        let rebuilt = second.reload("d", None).unwrap();
+        assert_eq!(rebuilt.object_count(), 23);
+        assert_eq!(read(), before, "a second owner changed the dataset's files");
+
+        // The owner keeps writing; once it is dropped, the dir is free.
+        owner.apply_update("d", &insert(62.75)).unwrap();
+        drop(owner);
+        let opened = Engine::new().open_dir(&dir, "d").unwrap();
+        assert_eq!((opened.replayed, opened.snapshot.object_count()), (2, 24));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2420,9 +2683,11 @@ mod tests {
         engine.hold_once("publish.persist", reached_tx, release_rx);
         let reloader = engine.clone();
         let reload = std::thread::spawn(move || reloader.reload("d", None));
-        // The rebuild is served and its base not yet saved: race an update
-        // against the save, up to the point where the update would start.
+        // The rebuild has won and its base is not yet saved, so it is not
+        // served yet: race an update against the save, up to the point
+        // where the update would start.
         reached_rx.recv().unwrap();
+        let served_while_held = engine.get("d").unwrap().generation;
         let updater = engine.clone();
         let update = std::thread::spawn(move || updater.apply_update("d", &insert(50.25)));
         engine.wait_for_writer_waiters();
@@ -2430,6 +2695,10 @@ mod tests {
         reload.join().unwrap().unwrap();
         update.join().unwrap().unwrap();
         engine.apply_update("d", &insert(50.75)).unwrap();
+        assert_eq!(
+            served_while_held, 1,
+            "the rebuild was served before its save"
+        );
 
         let served = engine.get("d").unwrap().object_count();
         assert_eq!(served, 21 + 20 + 2);

@@ -3,14 +3,20 @@
 //! runs, checked against a sequential model of the dataset's object sets.
 //!
 //! The ops are a live update, a blocking reload, a background reload,
-//! `load_from_sets`, a CSV load and a restart (a fresh engine loading the
-//! same spec from disk). The hold points are `build.start` (a build is
-//! about to start, no lock held), `update.publish` (a live update's record
-//! is durable, its publication pending, the writer held) and
-//! `publish.persist` (a CSV build is served, its base not yet saved, the
+//! `load_from_sets`, a CSV load, a CSV edit that is reverted mid-build, a
+//! restart (a fresh engine loading the same spec from disk) and a second
+//! owner's compaction (a fresh engine running [`Engine::open_dir`] and
+//! [`Engine::compact`] on the same dir, what `molq update compact` does).
+//! The hold points are `build.start` (a build is about to start, no lock
+//! held), `update.publish` (a live update's record is durable, its
+//! publication pending, the writer held) and `publish.persist` (a CSV
+//! build won its compare-and-swap, its base neither saved nor served, the
 //! writer held). Op A runs until it reaches the point; op B then runs to
 //! completion, or, when A holds the writer, until B waits on it; then A is
-//! released. A pair is explored only at the points op A can reach.
+//! released. A pair is explored only at the points op A can reach. The CSV
+//! edit is reverted while it is held at `publish.persist`, so it is
+//! explored only there. Every schedule then makes one more update, and
+//! drops the fixture's engine before the final restart.
 //!
 //! Invariants, per schedule:
 //! - generations strictly increase: every publication gets a distinct
@@ -24,7 +30,9 @@
 //! - a `409` leaves no journal record: the base on disk plus its journal
 //!   is exactly the model, and every record is an acknowledged insert;
 //! - the served arena is byte-identical to a rebuild from the model's sets
-//!   and to what a restart serves.
+//!   and to what a restart serves;
+//! - a second owner gets the typed refusal ([`DirError::Busy`]) while the
+//!   fixture's engine holds the dir.
 //!
 //! Run it alone with `cargo test --release -p molq-server --lib explore`.
 
@@ -34,13 +42,15 @@ use std::sync::mpsc;
 
 const NAME: &str = "d";
 const POINTS: [&str; 3] = ["build.start", "update.publish", "publish.persist"];
-const OPS: [Op; 6] = [
+const OPS: [Op; 8] = [
     Op::Update,
     Op::Reload,
     Op::ReloadBackground,
     Op::LoadFromSets,
     Op::CsvLoad,
+    Op::CsvRevert,
     Op::Restart,
+    Op::Compact,
 ];
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -51,16 +61,19 @@ enum Op {
     ReloadBackground,
     LoadFromSets,
     CsvLoad,
+    CsvRevert,
     Restart,
+    Compact,
 }
 
 impl Op {
-    /// Whether the op, started from the fixture's state, reaches `point`.
+    /// Whether the op, started from the fixture's state, is explored held
+    /// at `point`.
     fn reaches(self, point: &str) -> bool {
         match point {
-            "build.start" => self != Op::Update,
+            "build.start" => !matches!(self, Op::Update | Op::CsvRevert | Op::Compact),
             "update.publish" => self == Op::Update,
-            "publish.persist" => self == Op::CsvLoad,
+            "publish.persist" => matches!(self, Op::CsvLoad | Op::CsvRevert),
             _ => unreachable!("unknown hold point {point}"),
         }
     }
@@ -92,15 +105,20 @@ enum Done {
     Background,
     /// A restart on a fresh engine served these sets.
     Restarted(Vec<ObjectSet>),
+    /// A second owner was refused the dir, typed.
+    Refused,
+    /// A second owner opened and compacted the dir.
+    Compacted,
 }
 
 /// One schedule's world: a snapshot directory with CSV sources, an engine
-/// serving the dataset, and every CSV content written so far.
+/// serving the dataset, and every CSV content written so far with the
+/// fingerprint it gave the sources.
 struct Fixture {
     dir: PathBuf,
     spec: DatasetSpec,
     engine: Engine,
-    csvs: Mutex<Vec<Vec<ObjectSet>>>,
+    csvs: Mutex<Vec<(Vec<ObjectSet>, SourceFingerprint)>>,
 }
 
 impl Fixture {
@@ -139,7 +157,14 @@ impl Fixture {
             molq_datagen::csv::write_csv(set, &mut f).unwrap();
             f.sync_all().unwrap();
         }
-        self.csvs.lock().unwrap().push(sets.to_vec());
+        let fingerprint = SourceFingerprint::of_paths(&self.spec.paths).unwrap();
+        self.csvs.lock().unwrap().push((sets.to_vec(), fingerprint));
+    }
+
+    /// Writes back the CSVs as they were before the last write.
+    fn revert_csvs(&self) {
+        let csvs = self.csvs.lock().unwrap().clone();
+        self.write_csvs(&csvs[csvs.len() - 2].0);
     }
 
     fn served(&self) -> Arc<Snapshot> {
@@ -183,10 +208,21 @@ impl Fixture {
                     Err(e) => panic!("load_from_sets failed: {e}"),
                 }
             }
-            Op::CsvLoad => {
+            Op::CsvLoad | Op::CsvRevert => {
                 // Export what is served, so the load rebuilds from CSV and
-                // persists; a `409` is retried, as a client would.
-                self.write_csvs(&self.served().query.sets);
+                // persists; a `409` is retried, as a client would. The edit
+                // that is reverted adds an object, so the CSVs it reverts
+                // to differ from what it serves.
+                let mut sets = self.served().query.sets.clone();
+                if op == Op::CsvRevert {
+                    let loc = Point::new(12.5 + 7.25 * slot as f64, 33.5 + 5.5 * slot as f64);
+                    sets[1].objects.push(SpatialObject {
+                        loc,
+                        w_t: 1.0,
+                        w_o: 1.0,
+                    });
+                }
+                self.write_csvs(&sets);
                 for _ in 0..4 {
                     let derived_from = engine.get(NAME).map(|s| s.generation);
                     match engine.load_derived(self.spec.clone(), derived_from) {
@@ -205,6 +241,18 @@ impl Fixture {
             Op::Restart => {
                 let (snap, _) = restart.load_traced(self.spec.clone()).unwrap();
                 Done::Restarted(snap.query.sets.clone())
+            }
+            Op::Compact => {
+                let second = Engine::new();
+                let dir = self.spec.snapshot_dir.as_ref().unwrap();
+                match second.open_dir(dir, NAME) {
+                    Err(DirError::Busy(_)) => Done::Refused,
+                    Ok(_) => {
+                        second.compact(NAME).unwrap();
+                        Done::Compacted
+                    }
+                    Err(e) => panic!("open_dir failed: {e}"),
+                }
             }
         }
     }
@@ -280,7 +328,7 @@ fn writers_waiting(engine: &Engine) -> usize {
 fn explore(a: Op, b: Op, point: &'static str) -> String {
     let name = format!("{a:?} held at {point}, then {b:?}");
     let tag = format!("{a:?}_{b:?}_{}", point.replace('.', "_"));
-    let (fx, start_sets, start_gen) = Fixture::new(&tag);
+    let (mut fx, start_sets, start_gen) = Fixture::new(&tag);
     let restart_a = Engine::new();
     let restart_b = Engine::new();
     let a_engine = if a == Op::Restart {
@@ -298,6 +346,9 @@ fn explore(a: Op, b: Op, point: &'static str) -> String {
         reached_rx
             .recv_timeout(WAIT)
             .unwrap_or_else(|_| panic!("{name}: A never reached the point"));
+        if a == Op::CsvRevert {
+            fx.revert_csvs();
+        }
         let (b_tx, b_rx) = mpsc::channel();
         let (fx_b, restart_b) = (&fx, &restart_b);
         let run_b = scope.spawn(move || b_tx.send(fx_b.run(b, 2, restart_b)).unwrap());
@@ -324,9 +375,11 @@ fn explore(a: Op, b: Op, point: &'static str) -> String {
         served_gens.windows(2).all(|w| w[0] <= w[1]),
         "{name}: served generation went back: {served_gens:?}"
     );
+    // One more acknowledged update, on whatever the schedule left.
+    let done_last = fx.run(Op::Update, 3, &restart_b);
 
     // Fold the publications into the model in generation order.
-    let mut publications: Vec<_> = [&done_a, &done_b]
+    let mut publications: Vec<_> = [&done_a, &done_b, &done_last]
         .into_iter()
         .filter_map(|done| match done {
             Done::Published {
@@ -352,7 +405,7 @@ fn explore(a: Op, b: Op, point: &'static str) -> String {
             Effect::Insert(object) => model[0].objects.push(*object),
             Effect::Csv => {
                 assert!(
-                    csvs.iter().any(|csv| same_sets(csv, sets)),
+                    csvs.iter().any(|(csv, _)| same_sets(csv, sets)),
                     "{name}: a CSV build served sets no CSV held"
                 );
                 model = sets.clone();
@@ -414,7 +467,16 @@ fn explore(a: Op, b: Op, point: &'static str) -> String {
         "{name}: base + journal differ from the acknowledged updates"
     );
 
-    // Every acknowledged update survives a restart.
+    // Every acknowledged update survives a restart. The CSVs hold what the
+    // base was built from (a reverted edit is re-applied), so the restart
+    // restores; the engine that owns the dir goes first.
+    let (built_from, _) = csvs
+        .iter()
+        .rev()
+        .find(|(_, fingerprint)| *fingerprint == base.fingerprint)
+        .unwrap_or_else(|| panic!("{name}: the base was built from no CSV written"));
+    fx.write_csvs(built_from);
+    drop(std::mem::take(&mut fx.engine));
     let restarted = Engine::new();
     let (snap, outcome) = restarted.load_traced(fx.spec.clone()).unwrap();
     assert_eq!(outcome, LoadOutcome::LoadedFromSnapshot, "{name}");
@@ -427,6 +489,12 @@ fn explore(a: Op, b: Op, point: &'static str) -> String {
         served.index.arena(),
         "{name}: a restart serves another arena"
     );
+    for done in [&done_a, &done_b] {
+        assert!(
+            !matches!(done, Done::Compacted),
+            "{name}: a second owner compacted a dir the first one held"
+        );
+    }
     name
 }
 
@@ -447,6 +515,7 @@ fn every_ordered_pair_at_every_hold_point_keeps_the_invariants() {
             }
         }
     }
-    // 5 ops reach build.start, 1 reaches each writer-held point.
-    assert_eq!(explored.len(), (5 + 1 + 1) * OPS.len());
+    // 5 ops reach build.start, 1 reaches update.publish and 2 reach
+    // publish.persist.
+    assert_eq!(explored.len(), (5 + 1 + 2) * OPS.len());
 }

@@ -240,7 +240,7 @@ impl Acceptor {
     /// so a finished live loop died).
     fn supervise(&mut self) {
         for slot in &mut self.loops {
-            if !slot.thread.as_ref().map_or(true, JoinHandle::is_finished) {
+            if !slot.thread.as_ref().is_none_or(JoinHandle::is_finished) {
                 continue;
             }
             if self.stop.load(Ordering::SeqCst) {

@@ -25,6 +25,7 @@
 //! - [`vfs`]: the storage-I/O seam — every snapshot/journal byte moves
 //!   through a [`vfs::Vfs`], so the real paths run unchanged against the
 //!   deterministic fault-injecting [`vfs::MemVfs`];
+//! - [`lock`]: the one-owner lock on a dataset's files in a directory;
 //! - [`recovery`]: the crash-recovery ladder shared by the serving engine
 //!   and the crash-point test harness (base + journal prefix salvage +
 //!   stale-tmp sweep).
@@ -35,6 +36,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod hash;
 pub mod journal;
+pub mod lock;
 pub mod recovery;
 pub mod snapshot;
 pub mod vfs;
@@ -46,6 +48,7 @@ pub use crate::hash::{crc32, fnv1a64, Crc32, Fnv64, FNV_OFFSET, FNV_PRIME};
 pub use crate::journal::{
     inspect_journal, journal_path, load_journal, Journal, JournalInfo, JournalLoad, JournalRecord,
 };
+pub use crate::lock::{lock_path, DatasetLock};
 pub use crate::recovery::{
     recover, set_aside_journal, snapshot_path, sweep_tmp, JournalDisposition, Recovery,
 };

@@ -63,14 +63,6 @@ pub enum JournalDisposition {
     },
 }
 
-impl JournalDisposition {
-    /// True when the journal file should be renamed out of the way before
-    /// a fresh one is created.
-    pub fn needs_set_aside(&self) -> bool {
-        matches!(self, JournalDisposition::SetAside { .. })
-    }
-}
-
 /// A recovered dataset: the base snapshot plus the journal records to
 /// replay onto it.
 #[derive(Debug)]

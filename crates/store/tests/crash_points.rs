@@ -96,7 +96,7 @@ fn sample_stored(epoch: u64) -> StoredSnapshot {
 }
 
 fn random_record(rng: &mut Lcg) -> JournalRecord {
-    if rng.next() % 4 == 0 {
+    if rng.next().is_multiple_of(4) {
         JournalRecord::Remove {
             set: (rng.next() % 2) as u32,
             index: (rng.next() % 8) as u32,
